@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_threads(args) -> None:
     workers = 1 if args.deterministic else args.workers
     if workers is not None:
-        if workers < 1:
-            raise SystemExit("workers must be >= 1")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(workers)
 
@@ -189,6 +187,8 @@ def _cmd_export(args, exp) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        parser.error("workers must be >= 1")
     _configure_threads(args)
     from . import experiment as exp
 

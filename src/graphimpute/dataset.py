@@ -98,9 +98,6 @@ class Dataset:
             return np.zeros(self.num_events)
         return self.event_counts() / self.num_patients
 
-    def positive_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.positives}
-
 
 @dataclass(frozen=True)
 class SplitSpec:

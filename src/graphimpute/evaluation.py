@@ -153,30 +153,6 @@ def assign_frequency_bins(train_frequencies: np.ndarray, edges: np.ndarray) -> n
     return bins
 
 
-def frequency_bin_table(report: MetricsReport, num_bins: int = 10) -> list[dict]:
-    """Per-bin metric means over log-spaced train-frequency bins.
-
-    Zero-frequency events carry no train-frequency signal and are left out.
-    """
-    edges = frequency_bin_edges(report.train_frequencies, num_bins)
-    bins = assign_frequency_bins(report.train_frequencies, edges)
-    rows = []
-    for b in range(len(edges) - 1):
-        members = bins == b
-        rows.append(
-            {
-                "bin": b,
-                "freq_lo": float(edges[b]),
-                "freq_hi": float(edges[b + 1]),
-                "num_events": int(members.sum()),
-                "mean_sensitivity": _nan_mean(report.sensitivity[members]),
-                "mean_specificity": _nan_mean(report.specificity[members]),
-                "mean_balanced_accuracy": _nan_mean(report.balanced_accuracy[members]),
-            }
-        )
-    return rows
-
-
 def recall_frequency_spearman(report: MetricsReport) -> float:
     """Spearman correlation between train frequency and per-event recall.
 

@@ -227,6 +227,27 @@ def prepare_split(cfg: RunConfig, ds: Dataset) -> SplitDataset:
     return split(filtered, cfg.split, event_index_map=event_map)
 
 
+def _latents(
+    params: ModelParams,
+    model_cfg: ModelConfig,
+    train_ds: Dataset,
+    test_visible: Dataset | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Patient and event latents after message passing on the train graph.
+
+    Test patients, if given, join after the train patients through their
+    visible positives. Demographics are standardized with train statistics.
+    """
+    cohort = [train_ds] if test_visible is None else [train_ds, test_visible]
+    stats = demographics_stats(train_ds.demographics)
+    demo = np.vstack([standardize_demographics(d.demographics, stats) for d in cohort])
+    starts = np.cumsum([0] + [d.num_patients for d in cohort])
+    pairs = np.concatenate([d.positives + [start, 0] for d, start in zip(cohort, starts)])
+    g = build(pairs, int(starts[-1]), train_ds.num_events)
+    p0 = encode_patients(params, demo)
+    return message_pass(params, model_cfg, g, p0, params.event_embeddings)
+
+
 def score_test_grid(
     params: ModelParams,
     model_cfg: ModelConfig,
@@ -237,35 +258,17 @@ def score_test_grid(
 
     Test patients join the message-passing graph through their visible
     positives; train patients stay present so event neighborhoods keep their
-    train context. Demographics are standardized with train statistics.
+    train context.
     """
-    m_train = train_ds.num_patients
-    t = test_visible.num_patients
-    n = train_ds.num_events
-    stats = demographics_stats(train_ds.demographics)
-    demo = np.vstack(
-        [
-            standardize_demographics(train_ds.demographics, stats),
-            standardize_demographics(test_visible.demographics, stats),
-        ]
-    )
-    offset = test_visible.positives.copy()
-    offset[:, 0] += m_train
-    g = build(np.concatenate([train_ds.positives, offset]), m_train + t, n)
-    p0 = encode_patients(params, demo)
-    p_lat, e_lat = message_pass(params, model_cfg, g, p0, params.event_embeddings)
-    return score_grid(params, p_lat[m_train:], e_lat)
+    p_lat, e_lat = _latents(params, model_cfg, train_ds, test_visible)
+    return score_grid(params, p_lat[train_ds.num_patients :], e_lat)
 
 
 def train_event_latents(
     params: ModelParams, model_cfg: ModelConfig, train_ds: Dataset
 ) -> np.ndarray:
     """Event embeddings after message passing on the train graph."""
-    g = build(train_ds.positives, train_ds.num_patients, train_ds.num_events)
-    stats = demographics_stats(train_ds.demographics)
-    demo = standardize_demographics(train_ds.demographics, stats)
-    _, e_lat = message_pass(params, model_cfg, g, encode_patients(params, demo), params.event_embeddings)
-    return e_lat
+    return _latents(params, model_cfg, train_ds)[1]
 
 
 def imputer_score_grid(

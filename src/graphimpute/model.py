@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .dataset import Dataset, _sigmoid
 from .graph import BipartiteGraph
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
 PROB_EPS = 1e-15
@@ -31,7 +31,6 @@ class ModelConfig:
     num_layers: int = 3
     scorer_hidden: int = 32
     demographics_dim: int = 2
-    layer_bias: bool = True
 
     def __post_init__(self):
         for name in ("embedding_dim", "num_layers", "scorer_hidden", "demographics_dim"):
@@ -210,15 +209,17 @@ def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 @dataclass
 class ForwardTrace:
-    """Intermediates of one forward pass, kept for the backward pass."""
+    """Intermediates of one forward pass, kept for the backward pass.
+
+    The states hold each round's input and, last, the final latents. A
+    rectifier's derivative is read off its output (positive exactly where its
+    input was), so pre-activations are not kept.
+    """
 
     patient_states: list[np.ndarray] = field(default_factory=list)
     event_states: list[np.ndarray] = field(default_factory=list)
-    patient_preacts: list[np.ndarray] = field(default_factory=list)
-    event_preacts: list[np.ndarray] = field(default_factory=list)
     patient_means: list[np.ndarray] = field(default_factory=list)
     event_means: list[np.ndarray] = field(default_factory=list)
-    encoder_preact: np.ndarray | None = None
     agg_patient: sp.csr_matrix | None = None
     agg_event: sp.csr_matrix | None = None
 
@@ -231,31 +232,8 @@ def forward_trace(
 ) -> ForwardTrace:
     """Encoder plus all message-passing rounds, recording every intermediate."""
     trace = ForwardTrace()
-    trace.agg_patient, trace.agg_event = mean_operators(g_visible)
-    trace.encoder_preact = demographics @ params.encoder_weight + params.encoder_bias
-    p = np.maximum(trace.encoder_preact, 0.0)
-    e = params.event_embeddings
-    trace.patient_states.append(p)
-    trace.event_states.append(e)
-    last = len(params.layers) - 1
-    for idx, layer in enumerate(params.layers):
-        mp = trace.agg_patient @ e
-        me = trace.agg_event @ p
-        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p
-        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e
-        if config.layer_bias:
-            p_new += layer.b_p
-            e_new += layer.b_e
-        trace.patient_means.append(mp)
-        trace.event_means.append(me)
-        trace.patient_preacts.append(p_new)
-        trace.event_preacts.append(e_new)
-        if idx < last:
-            p_new = np.maximum(p_new, 0.0)
-            e_new = np.maximum(e_new, 0.0)
-        p, e = p_new, e_new
-        trace.patient_states.append(p)
-        trace.event_states.append(e)
+    patient_init = encode_patients(params, demographics)
+    message_pass(params, config, g_visible, patient_init, params.event_embeddings, trace)
     return trace
 
 
@@ -265,23 +243,34 @@ def message_pass(
     g_visible: BipartiteGraph,
     patient_init: np.ndarray,
     event_init: np.ndarray,
+    trace: ForwardTrace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Latent embeddings after all rounds, from explicit initial features."""
+    """Latent embeddings after all rounds, from explicit initial features.
+
+    If `trace` is given, the mean operators, each round's input states and
+    neighbor means, and the final latents are recorded into it.
+    """
     ap, ae = mean_operators(g_visible)
     p, e = patient_init, event_init
+    if trace is not None:
+        trace.agg_patient, trace.agg_event = ap, ae
+        trace.patient_states.append(p)
+        trace.event_states.append(e)
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
         mp = ap @ e
         me = ae @ p
-        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p
-        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e
-        if config.layer_bias:
-            p_new += layer.b_p
-            e_new += layer.b_e
+        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p + layer.b_p
+        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
         if idx < last:
             p_new = np.maximum(p_new, 0.0)
             e_new = np.maximum(e_new, 0.0)
         p, e = p_new, e_new
+        if trace is not None:
+            trace.patient_means.append(mp)
+            trace.event_means.append(me)
+            trace.patient_states.append(p)
+            trace.event_states.append(e)
     return p, e
 
 
@@ -300,17 +289,6 @@ def score_edges_raw(
     h = np.maximum(h_pre, 0.0)
     logits = h @ params.scorer_w2 + params.scorer_b2
     return _sigmoid(logits), logits, h_pre, u
-
-
-def score_edges(
-    params: ModelParams,
-    patient_latents: np.ndarray,
-    event_latents: np.ndarray,
-    pairs: np.ndarray,
-) -> np.ndarray:
-    """Edge probabilities for the given (patient, event) pairs, in (0, 1)."""
-    probs, _, _, _ = score_edges_raw(params, patient_latents, event_latents, pairs)
-    return np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def score_grid(

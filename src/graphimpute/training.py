@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import model as model_mod
 from .dataset import Dataset, demographics_stats, standardize_demographics
 from .graph import BipartiteGraph, build
-from .model import ForwardTrace, ModelConfig, ModelParams, forward_trace, score_edges_raw
+from .model import ModelConfig, ModelParams, forward_trace, score_edges_raw
 from .sampler import (
     EdgeBatch,
     sample_invisible,
@@ -27,6 +28,9 @@ from .sampler import (
 from .seeding import substream_seed
 
 LOG_EPS = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,14 +39,8 @@ class TrainConfig:
     epochs: int = 200
     mask_probability: float = 0.2
     seed: int = 0
-    grad_clip: float | None = None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_epochs: int = 0
-    weight_decay: float = 0.0
     negative_sampler: str = "degree_preserving"
-    max_repair_sweeps: int = 10
     fixed_mask: bool = False
 
     def __post_init__(self):
@@ -54,8 +52,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.negative_sampler not in ("degree_preserving", "uniform"):
             raise ValueError(f"unknown negative_sampler {self.negative_sampler!r}")
 
@@ -98,6 +94,26 @@ def balanced_bce(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
     return float(-(pos_term + neg_term) / (2.0 * k))
 
 
+def _forward(params, config, g_visible, demographics, positives, negatives):
+    """Forward pass shared by the loss and its gradient.
+
+    Scores the stacked [positives; negatives] pairs in one scorer call;
+    balanced_bce checks that both sets are non-empty and of equal size.
+    Returns the loss, the forward trace, the stacked pairs, and the scorer's
+    probabilities, hidden pre-activations and inputs.
+    """
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate([positives, negatives])
+    trace = forward_trace(params, config, g_visible, demographics)
+    probs, _, h_pre, u = score_edges_raw(
+        params, trace.patient_states[-1], trace.event_states[-1], pairs
+    )
+    k = len(positives)
+    loss = balanced_bce(probs[:k], probs[k:])
+    return loss, trace, pairs, probs, h_pre, u
+
+
 def loss_forward(
     params: ModelParams,
     config: ModelConfig,
@@ -107,30 +123,25 @@ def loss_forward(
     negatives: np.ndarray,
 ) -> float:
     """Loss only, via the same forward path as the gradient computation."""
-    trace = forward_trace(params, config, g_visible, demographics)
-    p_lat = trace.patient_states[-1]
-    e_lat = trace.event_states[-1]
-    probs_pos, _, _, _ = score_edges_raw(params, p_lat, e_lat, positives)
-    probs_neg, _, _, _ = score_edges_raw(params, p_lat, e_lat, negatives)
-    return balanced_bce(probs_pos, probs_neg)
+    return _forward(params, config, g_visible, demographics, positives, negatives)[0]
 
 
-def _scorer_backward(params, trace, pairs, dlogit, grads, d_p_final, d_e_final):
-    """Accumulate scorer gradients and scatter input adjoints to the latents."""
-    p_lat = trace.patient_states[-1]
-    e_lat = trace.event_states[-1]
-    d = p_lat.shape[1]
-    u = np.concatenate([p_lat[pairs[:, 0]], e_lat[pairs[:, 1]]], axis=1)
-    h_pre = u @ params.scorer_w1 + params.scorer_b1
+def _scorer_backward(params, pairs, h_pre, u, dlogit, grads, num_patients, num_events):
+    """Scorer gradients into `grads`; returns the adjoints of the patient and
+    event latents, summed over each node's pairs by a sparse incidence product."""
     h = np.maximum(h_pre, 0.0)
-    grads["scorer.w2"] += h.T @ dlogit
-    grads["scorer.b2"] += dlogit.sum()
+    grads["scorer.w2"] = h.T @ dlogit
+    grads["scorer.b2"] = dlogit.sum()
     dh = np.outer(dlogit, params.scorer_w2) * (h_pre > 0)
-    grads["scorer.w1"] += u.T @ dh
-    grads["scorer.b1"] += dh.sum(axis=0)
+    grads["scorer.w1"] = u.T @ dh
+    grads["scorer.b1"] = dh.sum(axis=0)
     du = dh @ params.scorer_w1.T
-    np.add.at(d_p_final, pairs[:, 0], du[:, :d])
-    np.add.at(d_e_final, pairs[:, 1], du[:, d:])
+    d = du.shape[1] // 2
+    ones = np.ones(len(pairs))
+    rows = np.arange(len(pairs))
+    to_p = sp.csr_matrix((ones, (pairs[:, 0], rows)), shape=(num_patients, len(pairs)))
+    to_e = sp.csr_matrix((ones, (pairs[:, 1], rows)), shape=(num_events, len(pairs)))
+    return to_p @ du[:, :d], to_e @ du[:, d:]
 
 
 def backward(
@@ -144,36 +155,26 @@ def backward(
     """Loss and exact gradients for every parameter tensor.
 
     Reverse-mode pass specialized to encoder -> L message-passing rounds ->
-    scorer. The neighbor-mean adjoint is the transposed mean operator; scatter
-    adds handle the pair gather in the scorer. Gradients of clamped log terms
-    are zero, matching the piecewise loss exactly.
+    scorer. The neighbor-mean adjoint is the transposed mean operator; an
+    incidence product undoes the pair gather in the scorer. Gradients of
+    clamped log terms are zero, matching the piecewise loss exactly.
     """
-    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
-    if len(positives) == 0:
-        raise ValueError("empty batch: no hidden positives to score")
-    if len(positives) != len(negatives):
-        raise ValueError(
-            f"score sets must match in size, got {len(positives)} and {len(negatives)}"
-        )
-    k = len(positives)
-
-    trace = forward_trace(params, config, g_visible, demographics)
-    p_lat = trace.patient_states[-1]
-    e_lat = trace.event_states[-1]
-    probs_pos, _, _, _ = score_edges_raw(params, p_lat, e_lat, positives)
-    probs_neg, _, _, _ = score_edges_raw(params, p_lat, e_lat, negatives)
-    loss = balanced_bce(probs_pos, probs_neg)
-
-    grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
-    d_p = np.zeros_like(p_lat)
-    d_e = np.zeros_like(e_lat)
-
+    loss, trace, pairs, probs, h_pre, u = _forward(
+        params, config, g_visible, demographics, positives, negatives
+    )
+    k = len(pairs) // 2
     # d loss / d logit; terms whose log argument was clamped contribute zero.
-    dlogit_pos = np.where(probs_pos > LOG_EPS, (probs_pos - 1.0) / (2.0 * k), 0.0)
-    dlogit_neg = np.where(1.0 - probs_neg > LOG_EPS, probs_neg / (2.0 * k), 0.0)
-    _scorer_backward(params, trace, positives, dlogit_pos, grads, d_p, d_e)
-    _scorer_backward(params, trace, negatives, dlogit_neg, grads, d_p, d_e)
+    p_pos, p_neg = probs[:k], probs[k:]
+    dlogit = np.concatenate(
+        [
+            np.where(p_pos > LOG_EPS, (p_pos - 1.0) / (2.0 * k), 0.0),
+            np.where(1.0 - p_neg > LOG_EPS, p_neg / (2.0 * k), 0.0),
+        ]
+    )
+    grads = {}
+    d_p, d_e = _scorer_backward(
+        params, pairs, h_pre, u, dlogit, grads, g_visible.num_patients, g_visible.num_events
+    )
 
     ap_t = trace.agg_patient.T.tocsr()
     ae_t = trace.agg_event.T.tocsr()
@@ -181,24 +182,23 @@ def backward(
     for idx in range(last, -1, -1):
         layer = params.layers[idx]
         if idx < last:
-            d_p = d_p * (trace.patient_preacts[idx] > 0)
-            d_e = d_e * (trace.event_preacts[idx] > 0)
+            d_p = d_p * (trace.patient_states[idx + 1] > 0)
+            d_e = d_e * (trace.event_states[idx + 1] > 0)
         prefix = f"layers.{idx}"
-        grads[f"{prefix}.w_self_p"] += trace.patient_states[idx].T @ d_p
-        grads[f"{prefix}.w_nbr_p"] += trace.patient_means[idx].T @ d_p
-        grads[f"{prefix}.w_self_e"] += trace.event_states[idx].T @ d_e
-        grads[f"{prefix}.w_nbr_e"] += trace.event_means[idx].T @ d_e
-        if config.layer_bias:
-            grads[f"{prefix}.b_p"] += d_p.sum(axis=0)
-            grads[f"{prefix}.b_e"] += d_e.sum(axis=0)
+        grads[f"{prefix}.w_self_p"] = trace.patient_states[idx].T @ d_p
+        grads[f"{prefix}.w_nbr_p"] = trace.patient_means[idx].T @ d_p
+        grads[f"{prefix}.b_p"] = d_p.sum(axis=0)
+        grads[f"{prefix}.w_self_e"] = trace.event_states[idx].T @ d_e
+        grads[f"{prefix}.w_nbr_e"] = trace.event_means[idx].T @ d_e
+        grads[f"{prefix}.b_e"] = d_e.sum(axis=0)
         d_p_prev = d_p @ layer.w_self_p.T + ae_t @ (d_e @ layer.w_nbr_e.T)
         d_e_prev = d_e @ layer.w_self_e.T + ap_t @ (d_p @ layer.w_nbr_p.T)
         d_p, d_e = d_p_prev, d_e_prev
 
-    grads["event_embeddings"] += d_e
-    d_enc = d_p * (trace.encoder_preact > 0)
-    grads["encoder.weight"] += demographics.T @ d_enc
-    grads["encoder.bias"] += d_enc.sum(axis=0)
+    grads["event_embeddings"] = d_e
+    d_enc = d_p * (trace.patient_states[0] > 0)
+    grads["encoder.weight"] = demographics.T @ d_enc
+    grads["encoder.bias"] = d_enc.sum(axis=0)
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -208,35 +208,23 @@ def backward(
 
 def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainConfig) -> None:
     """One Adam step over all parameter tensors, in place."""
-    if config.grad_clip is not None:
-        total = 0.0
-        for g in grads.values():
-            total += float(np.sum(g * g))
-        norm = np.sqrt(total)
-        if norm > config.grad_clip:
-            scale = config.grad_clip / norm
-            grads = {name: g * scale for name, g in grads.items()}
     state.step += 1
     lr = config.learning_rate
     if config.warmup_epochs > 0:
         # Linear ramp over the first warmup_epochs steps; Adam's first steps
         # are sign-steps and a full-size one can deactivate the scorer.
         lr *= min(1.0, state.step / config.warmup_epochs)
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
     for name, tensor in state.params.named_tensors():
         g = grads[name]
         m = state.adam_m[name]
         v = state.adam_v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
-        if config.weight_decay > 0.0:
-            # decoupled decay: shrinkage independent of the gradient moments
-            tensor -= lr * config.weight_decay * tensor
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def sample_epoch_batch(
@@ -259,7 +247,7 @@ def sample_epoch_batch(
     neg_seed = substream_seed(config.seed, "negatives", epoch)
     if config.negative_sampler == "degree_preserving":
         negative, relaxed, gap = sample_negative_degree_preserving(
-            train_graph, invisible, neg_seed, config.max_repair_sweeps
+            train_graph, invisible, neg_seed
         )
     else:
         negative = sample_negative_uniform(train_graph, len(invisible), neg_seed)
@@ -312,7 +300,6 @@ def fit(
     train: Dataset,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    svd_power_iters: int = 8,
     log=None,
 ) -> TrainState:
     """Train from scratch on one dataset; returns the final state.
@@ -327,7 +314,6 @@ def fit(
     emb = model_mod.init_event_embeddings_svd(
         train,
         model_config.embedding_dim,
-        power_iters=svd_power_iters,
         seed=substream_seed(train_config.seed, "svd-init"),
     )
     params = model_mod.init_params(

@@ -56,11 +56,30 @@ class TestArgumentHandling:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        path = _write_config(tmp_path / "c.json", optimizer="sgd")
-        code = main(["train", "--config", str(path), "--run-dir", str(tmp_path / "run")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "optimizer" in err
+        # a stray top-level key, and keys that older versions accepted
+        cases = [
+            ({"optimizer": "sgd"}, "optimizer"),
+            ({"train": {"grad_clip": 1.0}}, "train.grad_clip"),
+            ({"train": {"weight_decay": 0.1}}, "train.weight_decay"),
+            ({"train": {"adam_eps": 1e-8}}, "train.adam_eps"),
+            ({"model": {"layer_bias": True}}, "model.layer_bias"),
+        ]
+        for updates, name in cases:
+            path = _write_config(tmp_path / "c.json", **updates)
+            code = main(["train", "--config", str(path), "--run-dir", str(tmp_path / "run")])
+            assert code == 2, name
+            err = capsys.readouterr().err
+            assert "config error" in err and name in err, name
+            assert not (tmp_path / "run").exists(), name
+
+    def test_workers_below_one_is_usage_error(self, config_path, tmp_path, capsys):
+        for workers in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--config", str(config_path), "--workers", workers,
+                      "--run-dir", str(tmp_path / "run")])
+            assert exc.value.code == 2
+            assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_seed_exits_2_naming_field(self, tmp_path, capsys):
         path = tmp_path / "c.json"

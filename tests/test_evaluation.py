@@ -15,7 +15,6 @@ from graphimpute.evaluation import (
     evaluate,
     export_event_embeddings,
     frequency_bin_edges,
-    frequency_bin_table,
     recall_frequency_spearman,
     write_bias_csv,
     write_per_event_csv,
@@ -167,7 +166,7 @@ class TestFrequencyBins:
             np.column_stack([rng.integers(0, 10, 60), rng.integers(0, 40, 60)]),
             freqs,
         )
-        rows = frequency_bin_table(report)
+        rows = bias_profile(report, report).rows
         assert sum(r["num_events"] for r in rows) == 40
         assert all(r["freq_lo"] < r["freq_hi"] for r in rows)
 

@@ -15,7 +15,6 @@ from graphimpute.model import (
     mean_operators,
     message_pass,
     save_checkpoint,
-    score_edges,
     score_edges_raw,
     score_grid,
 )
@@ -69,11 +68,8 @@ def _dense_reference(params, config, g, p0, e0):
             nbrs = np.nonzero(adj[:, j])[0]
             if len(nbrs):
                 me[j] = p[nbrs].mean(axis=0)
-        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p
-        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e
-        if config.layer_bias:
-            p_new = p_new + layer.b_p
-            e_new = e_new + layer.b_e
+        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p + layer.b_p
+        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
         if idx < last:
             p_new = np.maximum(p_new, 0.0)
             e_new = np.maximum(e_new, 0.0)
@@ -213,35 +209,21 @@ class TestMessagePass:
         )
         assert np.all(np.isfinite(p)) and np.all(np.isfinite(e))
 
-    def test_bias_toggle(self, tiny_graph):
-        config_b = _small_config(num_layers=1, layer_bias=True)
-        config_nb = _small_config(num_layers=1, layer_bias=False)
-        params = init_params(config_b, num_events=5, seed=12)
-        for layer in params.layers:
-            layer.b_p = np.full(4, 0.25)
-            layer.b_e = np.full(4, -0.5)
-        p0 = np.random.default_rng(2).normal(size=(6, 4))
-        e0 = np.random.default_rng(3).normal(size=(5, 4))
-        p_b, e_b = message_pass(params, config_b, tiny_graph, p0, e0)
-        p_nb, e_nb = message_pass(params, config_nb, tiny_graph, p0, e0)
-        assert np.allclose(p_b, p_nb + 0.25, atol=1e-12)
-        assert np.allclose(e_b, e_nb - 0.5, atol=1e-12)
-
 
 class TestScorer:
     def test_zero_weights_give_half(self):
         params = init_params(_small_config(), num_events=2, seed=0)
         params.scorer_w1 = np.zeros_like(params.scorer_w1)
-        probs = score_edges(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
+        probs, _, _, _ = score_edges_raw(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
         assert np.allclose(probs, 0.5, atol=1e-15)
 
     def test_large_bias_saturates(self):
         params = init_params(_small_config(), num_events=2, seed=0)
         params.scorer_w1 = np.zeros_like(params.scorer_w1)
         params.scorer_b2 = np.array(30.0)
-        hi = score_edges(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
+        hi, _, _, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
         params.scorer_b2 = np.array(-30.0)
-        lo = score_edges(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
+        lo, _, _, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
         assert hi[0] == pytest.approx(1.0, abs=1e-12) and hi[0] < 1.0
         assert lo[0] == pytest.approx(0.0, abs=1e-12) and lo[0] > 0.0
 
@@ -269,7 +251,7 @@ class TestScorer:
         pairs = np.column_stack(
             [np.repeat(np.arange(9), 7), np.tile(np.arange(7), 9)]
         )
-        flat = score_edges(params, p_lat, e_lat, pairs)
+        flat, _, _, _ = score_edges_raw(params, p_lat, e_lat, pairs)
         assert np.allclose(grid.reshape(-1), flat, atol=1e-12)
         assert np.array_equal(grid, score_grid(params, p_lat, e_lat, block_size=128))
 
@@ -397,8 +379,10 @@ class TestForwardTrace:
             params, config, tiny_graph,
             encode_patients(params, demo), params.event_embeddings,
         )
-        assert np.allclose(trace.patient_states[-1], p, atol=1e-12)
-        assert np.allclose(trace.event_states[-1], e, atol=1e-12)
+        assert np.array_equal(trace.patient_states[-1], p)
+        assert np.array_equal(trace.event_states[-1], e)
+        assert len(trace.patient_states) == len(trace.event_states) == 4
+        assert len(trace.patient_means) == len(trace.event_means) == 3
 
 
 class TestCheckpoint:
@@ -425,11 +409,14 @@ class TestCheckpoint:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["meta"]))
-        meta["format_version"] = 999
-        arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        # 999 is unknown; 1 is the format whose model config had layer_bias
+        for version, extra in ((999, {}), (1, {"layer_bias": True})):
+            meta["format_version"] = version
+            meta["config"].update(extra)
+            arrays["meta"] = np.array(json.dumps(meta))
+            np.savez(path, **arrays)
+            with pytest.raises(ValueError, match="version"):
+                load_checkpoint(path)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
