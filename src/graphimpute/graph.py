@@ -1,7 +1,7 @@
 """Sparse bipartite adjacency over patient and event partitions.
 
 CSR-like index arrays in both orientations give O(1) degree lookups,
-O(log degree) membership tests, and cache-friendly neighbor iteration.
+O(log edges) membership tests, and cache-friendly neighbor iteration.
 Graphs are immutable; mutation returns a new value.
 """
 
@@ -43,14 +43,6 @@ class BipartiteGraph:
     def event_degrees(self) -> np.ndarray:
         return np.diff(self.event_indptr)
 
-    def contains(self, patient: int, event: int) -> bool:
-        """True iff the edge is present; binary search within the patient's row."""
-        if not (0 <= patient < self.num_patients and 0 <= event < self.num_events):
-            raise IndexError(f"index out of range: ({patient}, {event})")
-        row = self.patient_neighbors(patient)
-        pos = int(np.searchsorted(row, event))
-        return pos < len(row) and row[pos] == event
-
     def all_edges(self) -> np.ndarray:
         """All edges as a lexicographically sorted (k, 2) array."""
         patients = np.repeat(np.arange(self.num_patients, dtype=np.int64), self.patient_degrees())
@@ -64,12 +56,16 @@ class BipartiteGraph:
         """Vectorized membership test for an (k, 2) array of pairs."""
         if len(pairs) == 0:
             return np.empty(0, dtype=bool)
-        codes = self.edge_codes()
         queries = encode_pairs(np.asarray(pairs, dtype=np.int64), self.num_events)
-        pos = np.searchsorted(codes, queries)
-        found = pos < len(codes)
-        found[found] = codes[pos[found]] == queries[found]
-        return found
+        return in_sorted(self.edge_codes(), queries)
+
+
+def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the queries present in an ascending array of codes."""
+    pos = np.searchsorted(sorted_codes, queries)
+    found = pos < len(sorted_codes)
+    found[found] = sorted_codes[pos[found]] == queries[found]
+    return found
 
 
 def build(positives, num_patients: int, num_events: int) -> BipartiteGraph:

@@ -2,9 +2,13 @@
 visible remainder, and negatives matching the invisible set's marginals.
 
 The degree-preserving sampler realizes both marginal constraints (per-patient
-and per-event negative counts equal to the invisible counts) with a randomized
-greedy pass, a swap-repair phase, and a best-effort relaxation whose gap is
-always reported. Patient marginals are exact in every outcome.
+and per-event negative counts equal to the invisible counts) as a
+configuration model: it deals the invisible edges' events to slots holding
+their patients, re-deals the events of conflicting slots (positive edges and
+repeated pairs) with as many clean slots in vectorized rounds, and falls back
+to uniform non-edges of the same patient for the slots still in conflict,
+reporting the resulting event-marginal gap. Patient marginals are exact in
+every outcome.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import canonical_pairs, decode_pairs, encode_pairs
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, in_sorted
+
+# Cap on re-deal rounds; slots still in conflict after it take the fallback.
+REDEAL_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -72,19 +79,19 @@ def sample_invisible(g: BipartiteGraph, p: float, seed) -> tuple[np.ndarray, np.
 
 
 def sample_negative_degree_preserving(
-    g_full: BipartiteGraph,
-    invisible: np.ndarray,
-    seed,
-    max_repair_sweeps: int = 10,
+    g_full: BipartiteGraph, invisible: np.ndarray, seed
 ) -> tuple[np.ndarray, bool, int]:
     """Negative non-edges matching the invisible set's patient and event marginals.
 
-    Patients are processed in random order; each draws its demand of events by
-    weighted sampling proportional to remaining event demand (Efraimidis-Spirakis
-    keys), skipping events already linked to it. Unfillable demands go through a
-    swap-repair phase, then a uniform fill that sets ``relaxed`` and reports the
-    event-marginal L1 gap. Patient marginals are exact in every outcome, and the
-    negatives never intersect the positive edges.
+    Each invisible edge gives one slot holding its patient, and a random
+    permutation of the invisible edges' events is dealt to the slots, so both
+    marginals hold by construction. A slot whose pair is a positive edge or
+    repeats an earlier slot's pair is in conflict; each round re-deals the
+    events of the conflicting slots together with as many random clean slots.
+    Slots still in conflict after ``REDEAL_ROUNDS`` rounds take uniform valid
+    non-edges of their own patient, which sets ``relaxed`` and leaves an
+    event-marginal L1 gap. Patient marginals are exact in every outcome, and
+    the negatives never intersect the positive edges.
     """
     m, n = g_full.num_patients, g_full.num_events
     invisible = np.asarray(invisible, dtype=np.int64).reshape(-1, 2)
@@ -103,113 +110,36 @@ def sample_negative_degree_preserving(
             f"{n - full_deg[i]} non-edges"
         )
 
-    c_rem = demand_e.astype(np.int64).copy()
-    neg_i: list[int] = []
-    neg_j: list[int] = []
-    chosen: dict[int, set[int]] = {}
-    stubs: dict[int, int] = {}
+    edge_codes = g_full.edge_codes()
+    patients = np.repeat(np.arange(m, dtype=np.int64), demand_p)
+    events = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), demand_e))
 
-    order = rng.permutation(np.flatnonzero(demand_p > 0))
-    for i in order:
-        i = int(i)
-        r_i = int(demand_p[i])
-        weights = c_rem.astype(np.float64)
-        weights[g_full.patient_neighbors(i)] = 0.0
-        candidates = np.flatnonzero(weights > 0)
-        take = min(r_i, len(candidates))
-        if take == len(candidates):
-            picks = candidates
-        elif take > 0:
-            keys = np.log(rng.random(len(candidates))) / weights[candidates]
-            picks = candidates[np.argpartition(keys, -take)[-take:]]
-        else:
-            picks = candidates[:0]
-        if take > 0:
-            c_rem[picks] -= 1
-            chosen[i] = {int(j) for j in picks}
-            neg_i.extend([i] * take)
-            neg_j.extend(int(j) for j in picks)
-        else:
-            chosen[i] = set()
-        if take < r_i:
-            stubs[i] = r_i - take
+    def conflicts() -> np.ndarray:
+        codes = patients * n + events
+        first = np.zeros(len(codes), dtype=bool)
+        first[np.unique(codes, return_index=True)[1]] = True
+        return in_sorted(edge_codes, codes) | ~first
 
-    if stubs:
-        _swap_repair(g_full, rng, c_rem, neg_i, neg_j, chosen, stubs, max_repair_sweeps)
+    bad = conflicts()
+    for _ in range(REDEAL_ROUNDS):
+        if not bad.any():
+            break
+        clean = np.flatnonzero(~bad)
+        partners = rng.choice(clean, size=min(int(bad.sum()), len(clean)), replace=False)
+        slots = np.concatenate([np.flatnonzero(bad), partners])
+        events[slots] = events[rng.permutation(slots)]
+        bad = conflicts()
 
-    relaxed = bool(stubs)
-    if stubs:
-        _uniform_fill(g_full, rng, neg_i, neg_j, chosen, stubs)
-
-    negative = canonical_pairs(np.column_stack([neg_i, neg_j]))
-    neg_counts = np.bincount(negative[:, 1], minlength=n)
-    gap = int(np.abs(neg_counts - demand_e).sum())
-    return negative, relaxed, gap
-
-
-def _swap_repair(g_full, rng, c_rem, neg_i, neg_j, chosen, stubs, max_repair_sweeps):
-    """Resolve unfilled patient demands by relocating already-placed negatives.
-
-    A stub of patient i is resolved by finding a placed edge (i2, j2) where j2
-    is a valid non-edge for i, and an in-demand event j_alt valid for i2; the
-    move hands j2 to i and redirects i2 to j_alt, keeping all marginals on track.
-    """
-    for _ in range(max_repair_sweeps):
-        if not stubs:
-            return
-        for i in sorted(stubs):
-            while stubs.get(i, 0) > 0:
-                demand_events = np.flatnonzero(c_rem > 0)
-                if len(demand_events) == 0:
-                    # Unreachable while the demand/stub counting invariant holds;
-                    # leave remaining stubs to the uniform fill.
-                    return
-                resolved = False
-                attempts = min(len(neg_i), 64 + 8 * len(demand_events))
-                for t in rng.integers(0, len(neg_i), size=attempts):
-                    i2, j2 = neg_i[t], neg_j[t]
-                    if i2 == i or j2 in chosen[i] or g_full.contains(i, j2):
-                        continue
-                    for j_alt in demand_events[rng.permutation(len(demand_events))]:
-                        j_alt = int(j_alt)
-                        if j_alt in chosen[i2] or g_full.contains(i2, j_alt):
-                            continue
-                        chosen[i2].remove(j2)
-                        chosen[i2].add(j_alt)
-                        neg_j[t] = j_alt
-                        c_rem[j_alt] -= 1
-                        chosen[i].add(j2)
-                        neg_i.append(i)
-                        neg_j.append(j2)
-                        stubs[i] -= 1
-                        if stubs[i] == 0:
-                            del stubs[i]
-                        resolved = True
-                        break
-                    if resolved:
-                        break
-                if not resolved:
-                    break
-
-
-def _uniform_fill(g_full, rng, neg_i, neg_j, chosen, stubs):
-    """Fill leftover patient demands with uniform valid non-edges (best effort)."""
-    n = g_full.num_events
-    for i in sorted(stubs):
-        need = stubs[i]
+    for i in np.unique(patients[bad]):
+        own = patients == i
         ok = np.ones(n, dtype=bool)
         ok[g_full.patient_neighbors(i)] = False
-        taken = list(chosen[i])
-        if taken:
-            ok[taken] = False
-        candidates = np.flatnonzero(ok)
-        if len(candidates) < need:
-            raise ValueError(f"patient {i} has no valid non-edges remaining")
-        picks = rng.choice(candidates, size=need, replace=False)
-        chosen[i].update(int(j) for j in picks)
-        neg_i.extend([i] * need)
-        neg_j.extend(int(j) for j in picks)
-    stubs.clear()
+        ok[events[own & ~bad]] = False
+        stuck = np.flatnonzero(own & bad)
+        events[stuck] = rng.choice(np.flatnonzero(ok), size=len(stuck), replace=False)
+
+    gap = int(np.abs(np.bincount(events, minlength=n) - demand_e).sum())
+    return canonical_pairs(np.column_stack([patients, events])), gap > 0, gap
 
 
 def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
@@ -228,18 +158,11 @@ def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
         picks = rng.choice(len(complement), size=k, replace=False)
         return canonical_pairs(decode_pairs(complement[picks], n))
 
-    seen: set[int] = set()
-    out: list[int] = []
+    out = np.empty(0, dtype=np.int64)
     while len(out) < k:
         draws = rng.integers(0, m * n, size=2 * (k - len(out)) + 16, dtype=np.int64)
-        pos = np.searchsorted(edge_codes, draws)
-        is_edge = pos < len(edge_codes)
-        is_edge[is_edge] = edge_codes[pos[is_edge]] == draws[is_edge]
-        for code in draws[~is_edge]:
-            code = int(code)
-            if code not in seen:
-                seen.add(code)
-                out.append(code)
-                if len(out) == k:
-                    break
-    return canonical_pairs(decode_pairs(np.array(out, dtype=np.int64), n))
+        fresh = draws[~in_sorted(edge_codes, draws)]
+        fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
+        fresh = fresh[~np.isin(fresh, out)]
+        out = np.concatenate([out, fresh[: k - len(out)]])
+    return canonical_pairs(decode_pairs(out, n))

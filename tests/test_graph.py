@@ -57,20 +57,15 @@ def test_contains_against_set_oracle():
     g = build(pairs, m, n)
     members = {(int(i), int(j)) for i, j in pairs}
     queries = rng.integers(0, [m, n], size=(10_000, 2))
-    for i, j in queries:
-        assert g.contains(int(i), int(j)) == ((int(i), int(j)) in members)
+    assert g.contains_pairs(queries).tolist() == [(int(i), int(j)) in members for i, j in queries]
 
 
 def test_contains_pairs_vectorized_matches_scalar(tiny_graph):
     g = tiny_graph
+    members = {(int(i), int(j)) for i, j in g.all_edges()}
     queries = np.array([[0, 0], [0, 1], [5, 4], [4, 4]])
     flags = g.contains_pairs(queries)
-    assert flags.tolist() == [g.contains(int(i), int(j)) for i, j in queries]
-
-
-def test_contains_out_of_range(tiny_graph):
-    with pytest.raises(IndexError):
-        tiny_graph.contains(99, 0)
+    assert flags.tolist() == [(int(i), int(j)) in members for i, j in queries]
 
 
 def test_all_edges_round_trip(tiny_graph):
@@ -100,7 +95,7 @@ def test_remove_edges_degree_arithmetic(tiny_graph):
     assert np.array_equal(g2.patient_degrees(), g.patient_degrees() - dp)
     assert np.array_equal(g2.event_degrees(), g.event_degrees() - de)
     # original untouched
-    assert g.contains(0, 0)
+    assert g.contains_pairs(np.array([[0, 0]])).tolist() == [True]
 
 
 def test_remove_edges_missing_edge_error(tiny_graph):

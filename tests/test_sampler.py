@@ -55,12 +55,17 @@ class TestSampleInvisible:
 
 class TestDegreePreserving:
     def test_two_by_two_forced_instance(self):
-        # non-edges are exactly the diagonal; demands force them
-        g = build(np.array([[0, 1], [1, 0]]), 2, 2)
-        invisible = np.array([[0, 1], [1, 0]])
-        neg, relaxed, gap = sample_negative_degree_preserving(g, invisible, seed=5)
-        assert sorted(map(tuple, neg.tolist())) == [(0, 0), (1, 1)]
-        assert relaxed is False and gap == 0
+        cases = [
+            # non-edges are exactly the diagonal; demands force them
+            ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [(0, 0), (1, 1)], False, 0),
+            # patient 0's only non-edge is event 1, so the event marginal relaxes
+            ([[0, 0], [1, 0], [1, 1]], [[0, 0]], [(0, 1)], True, 2),
+        ]
+        for edges, invisible, expected, want_relaxed, want_gap in cases:
+            g = build(np.array(edges), 2, 2)
+            neg, relaxed, gap = sample_negative_degree_preserving(g, np.array(invisible), seed=5)
+            assert sorted(map(tuple, neg.tolist())) == expected
+            assert relaxed is want_relaxed and gap == want_gap
 
     def test_empty_invisible(self, tiny_graph):
         neg, relaxed, gap = sample_negative_degree_preserving(
@@ -100,7 +105,7 @@ class TestDegreePreserving:
             sample_negative_degree_preserving(g, invisible, seed=0)
 
     def test_patient_marginals_always_exact_under_relaxation(self):
-        # dense graph with few non-edges forces frequent repair/relaxation
+        # dense graph with few non-edges forces long re-deals and the fallback
         rng = np.random.default_rng(13)
         for trial in range(20):
             g = _random_graph(rng, 15, 8, 0.75)
