@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# Demographic features per patient: (age_years, sex).
+DEMOGRAPHICS_DIM = 2
+
 
 def canonical_pairs(pairs) -> np.ndarray:
     """Return pairs as an (k, 2) int64 array, lexicographically sorted, deduplicated."""
@@ -67,10 +70,10 @@ class Dataset:
                 raise ValueError("patient index out of range")
             if pos[:, 1].min() < 0 or pos[:, 1].max() >= self.num_events:
                 raise ValueError("event index out of range")
-        if demo.shape != (self.num_patients, 2):
+        if demo.shape != (self.num_patients, DEMOGRAPHICS_DIM):
             raise ValueError(
                 f"demographics shape {demo.shape} does not match "
-                f"({self.num_patients}, 2)"
+                f"({self.num_patients}, {DEMOGRAPHICS_DIM})"
             )
         if self.event_labels is not None and len(self.event_labels) != self.num_events:
             raise ValueError("event_labels length does not match num_events")

@@ -229,7 +229,6 @@ def prepare_split(cfg: RunConfig, ds: Dataset) -> SplitDataset:
 
 def _latents(
     params: ModelParams,
-    model_cfg: ModelConfig,
     train_ds: Dataset,
     test_visible: Dataset | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +244,11 @@ def _latents(
     pairs = np.concatenate([d.positives + [start, 0] for d, start in zip(cohort, starts)])
     g = build(pairs, int(starts[-1]), train_ds.num_events)
     p0 = encode_patients(params, demo)
-    return message_pass(params, model_cfg, g, p0, params.event_embeddings)
+    return message_pass(params, g, p0, params.event_embeddings)
 
 
 def score_test_grid(
-    params: ModelParams,
-    model_cfg: ModelConfig,
-    train_ds: Dataset,
-    test_visible: Dataset,
+    params: ModelParams, train_ds: Dataset, test_visible: Dataset
 ) -> np.ndarray:
     """Inductive scores for every (test patient, event) pair.
 
@@ -260,15 +256,13 @@ def score_test_grid(
     positives; train patients stay present so event neighborhoods keep their
     train context.
     """
-    p_lat, e_lat = _latents(params, model_cfg, train_ds, test_visible)
+    p_lat, e_lat = _latents(params, train_ds, test_visible)
     return score_grid(params, p_lat[train_ds.num_patients :], e_lat)
 
 
-def train_event_latents(
-    params: ModelParams, model_cfg: ModelConfig, train_ds: Dataset
-) -> np.ndarray:
+def train_event_latents(params: ModelParams, train_ds: Dataset) -> np.ndarray:
     """Event embeddings after message passing on the train graph."""
-    return _latents(params, model_cfg, train_ds)[1]
+    return _latents(params, train_ds)[1]
 
 
 def imputer_score_grid(
@@ -276,12 +270,11 @@ def imputer_score_grid(
     cfg: RunConfig,
     sd: SplitDataset,
     params: ModelParams | None = None,
-    model_cfg: ModelConfig | None = None,
 ) -> np.ndarray:
     if imputer == "graph":
         if params is None:
             raise ValueError("graph imputer needs model parameters")
-        return score_test_grid(params, model_cfg or cfg.model, sd.train, sd.test_visible)
+        return score_test_grid(params, sd.train, sd.test_visible)
     if imputer == "knn":
         return baselines_mod.knn_impute(
             sd.train, sd.test_visible.positives, sd.test_visible.num_patients, cfg.knn
@@ -379,7 +372,6 @@ def run_evaluate(
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    model_cfg = cfg.model
     if imputer == "graph" and params is None:
         if checkpoint_path is None:
             raise ValueError("need a checkpoint or explicit parameters")
@@ -396,7 +388,7 @@ def run_evaluate(
         )
 
     t0 = time.perf_counter()
-    grid = imputer_score_grid(imputer, cfg, sd, params, model_cfg)
+    grid = imputer_score_grid(imputer, cfg, sd, params)
     score_seconds = time.perf_counter() - t0
     reports = {}
     for policy in policies:
@@ -451,7 +443,7 @@ def run_compare_samplers(cfg: RunConfig, run_dir, log=None) -> dict:
     for version, sampler in (("v1", "uniform"), ("v2", "degree_preserving")):
         train_cfg = dataclasses.replace(cfg.train, negative_sampler=sampler)
         state = fit(sd.train, cfg.model, train_cfg, log=log)
-        grid = score_test_grid(state.params, cfg.model, sd.train, sd.test_visible)
+        grid = score_test_grid(state.params, sd.train, sd.test_visible)
         report = evaluate_grid(grid, sd, "fixed")
         reports[version] = report
         write_per_event_csv(report, run_dir / f"sampler_{version}_per_event.csv")
@@ -559,13 +551,13 @@ def run_export_embeddings(cfg: RunConfig, run_dir, checkpoint_path) -> None:
     """Message-pass on the train graph and export event latents + neighbors."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    model_cfg, params, _ = load_checkpoint(checkpoint_path)
+    _, params, _ = load_checkpoint(checkpoint_path)
     sd = prepare_split(cfg, prepare_dataset(cfg))
     if params.num_events() != sd.train.num_events:
         raise ConfigError(
             f"checkpoint has {params.num_events()} events but split has {sd.train.num_events}"
         )
-    e_lat = train_event_latents(params, model_cfg, sd.train)
+    e_lat = train_event_latents(params, sd.train)
     export_event_embeddings(
         e_lat,
         run_dir / "event_embeddings.csv",

@@ -1,8 +1,10 @@
 """Sparse bipartite adjacency over patient and event partitions.
 
-CSR-like index arrays in both orientations give O(1) degree lookups,
-O(log edges) membership tests, and cache-friendly neighbor iteration.
-Graphs are immutable; mutation returns a new value.
+One patient-side CSR (rows are patients, sorted event indices) gives O(1)
+patient degree lookups, O(log edges) membership tests on the sorted edge
+codes, and cache-friendly neighbor iteration. The event side is its
+transpose, formed where it is needed (`model.mean_operators`). Graphs are
+immutable; mutation returns a new value.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from .dataset import canonical_pairs, decode_pairs, encode_pairs
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Immutable bipartite adjacency; both orientations kept sorted."""
+    """Immutable bipartite adjacency as a patient-side CSR with sorted rows."""
 
     num_patients: int
     num_events: int
     patient_indptr: np.ndarray
     patient_indices: np.ndarray
-    event_indptr: np.ndarray
-    event_indices: np.ndarray
 
     @property
     def edge_count(self) -> int:
@@ -33,15 +33,11 @@ class BipartiteGraph:
         """Sorted event indices adjacent to the patient (a view, do not mutate)."""
         return self.patient_indices[self.patient_indptr[patient] : self.patient_indptr[patient + 1]]
 
-    def event_neighbors(self, event: int) -> np.ndarray:
-        """Sorted patient indices adjacent to the event (a view, do not mutate)."""
-        return self.event_indices[self.event_indptr[event] : self.event_indptr[event + 1]]
-
     def patient_degrees(self) -> np.ndarray:
         return np.diff(self.patient_indptr)
 
     def event_degrees(self) -> np.ndarray:
-        return np.diff(self.event_indptr)
+        return np.bincount(self.patient_indices, minlength=self.num_events)
 
     def all_edges(self) -> np.ndarray:
         """All edges as a lexicographically sorted (k, 2) array."""
@@ -68,37 +64,23 @@ def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
-def build(positives, num_patients: int, num_events: int) -> BipartiteGraph:
-    """Build both adjacency orientations from a set of (patient, event) pairs."""
-    pairs = np.asarray(
-        list(positives) if isinstance(positives, (set, frozenset)) else positives, dtype=np.int64
-    )
-    pairs = pairs.reshape(-1, 2)
+def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGraph:
+    """Build the patient-side CSR from distinct (patient, event) pairs in any order."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) > 0:
         if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= num_patients:
             raise ValueError("patient index out of range")
         if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_events:
             raise ValueError("event index out of range")
-    sorted_pairs = canonical_pairs(pairs)
-    if len(sorted_pairs) != len(pairs):
+    codes = np.sort(encode_pairs(pairs, num_events))
+    if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edges in input")
-
-    patient_deg = np.bincount(sorted_pairs[:, 0], minlength=num_patients) if len(sorted_pairs) else np.zeros(num_patients, dtype=np.int64)
-    event_deg = np.bincount(sorted_pairs[:, 1], minlength=num_events) if len(sorted_pairs) else np.zeros(num_events, dtype=np.int64)
-    patient_indptr = np.concatenate([[0], np.cumsum(patient_deg)]).astype(np.int64)
-    event_indptr = np.concatenate([[0], np.cumsum(event_deg)]).astype(np.int64)
-
-    patient_indices = sorted_pairs[:, 1].copy()
-    event_order = np.lexsort((sorted_pairs[:, 0], sorted_pairs[:, 1]))
-    event_indices = sorted_pairs[event_order, 0].copy()
-
+    row_starts = np.arange(num_patients + 1, dtype=np.int64) * num_events
     return BipartiteGraph(
         num_patients=num_patients,
         num_events=num_events,
-        patient_indptr=patient_indptr,
-        patient_indices=patient_indices,
-        event_indptr=event_indptr,
-        event_indices=event_indices,
+        patient_indptr=np.searchsorted(codes, row_starts),
+        patient_indices=codes % num_events,
     )
 
 

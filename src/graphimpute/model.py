@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Dataset, _sigmoid
+from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid
 from .graph import BipartiteGraph
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
 PROB_EPS = 1e-15
@@ -30,10 +31,12 @@ class ModelConfig:
     embedding_dim: int = 95
     num_layers: int = 3
     scorer_hidden: int = 32
-    demographics_dim: int = 2
+    # Fixed by the data format (`Dataset` enforces it), so not a config key;
+    # a class attribute so that FLOP counts (perfbench/metrics.py) can read it.
+    demographics_dim: ClassVar[int] = DEMOGRAPHICS_DIM
 
     def __post_init__(self):
-        for name in ("embedding_dim", "num_layers", "scorer_hidden", "demographics_dim"):
+        for name in ("embedding_dim", "num_layers", "scorer_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -189,21 +192,21 @@ def encode_patients(params: ModelParams, demographics: np.ndarray) -> np.ndarray
 def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Row-normalized neighbor-mean operators (patient side m x n, event side n x m).
 
-    Rows of isolated nodes are empty, realizing the zero-vector rule for empty
-    neighborhoods.
+    The event side is the transpose of the patient CSR with each column
+    scaled by its event's inverse degree. Rows of isolated nodes are empty,
+    realizing the zero-vector rule for empty neighborhoods.
     """
     deg_p = g.patient_degrees()
     deg_e = g.event_degrees()
     inv_p = np.divide(1.0, deg_p, out=np.zeros(len(deg_p)), where=deg_p > 0)
     inv_e = np.divide(1.0, deg_e, out=np.zeros(len(deg_e)), where=deg_e > 0)
+    shape = (g.num_patients, g.num_events)
     ap = sp.csr_matrix(
-        (np.repeat(inv_p, deg_p), g.patient_indices, g.patient_indptr),
-        shape=(g.num_patients, g.num_events),
+        (np.repeat(inv_p, deg_p), g.patient_indices, g.patient_indptr), shape=shape
     )
     ae = sp.csr_matrix(
-        (np.repeat(inv_e, deg_e), g.event_indices, g.event_indptr),
-        shape=(g.num_events, g.num_patients),
-    )
+        (inv_e[g.patient_indices], g.patient_indices, g.patient_indptr), shape=shape
+    ).T.tocsr()
     return ap, ae
 
 
@@ -225,21 +228,17 @@ class ForwardTrace:
 
 
 def forward_trace(
-    params: ModelParams,
-    config: ModelConfig,
-    g_visible: BipartiteGraph,
-    demographics: np.ndarray,
+    params: ModelParams, g_visible: BipartiteGraph, demographics: np.ndarray
 ) -> ForwardTrace:
     """Encoder plus all message-passing rounds, recording every intermediate."""
     trace = ForwardTrace()
     patient_init = encode_patients(params, demographics)
-    message_pass(params, config, g_visible, patient_init, params.event_embeddings, trace)
+    message_pass(params, g_visible, patient_init, params.event_embeddings, trace)
     return trace
 
 
 def message_pass(
     params: ModelParams,
-    config: ModelConfig,
     g_visible: BipartiteGraph,
     patient_init: np.ndarray,
     event_init: np.ndarray,

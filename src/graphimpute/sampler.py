@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import canonical_pairs, decode_pairs, encode_pairs
+from .dataset import decode_pairs, encode_pairs
 from .graph import BipartiteGraph, in_sorted
 
 # Cap on re-deal rounds; slots still in conflict after it take the fallback.
@@ -113,12 +113,13 @@ def sample_negative_degree_preserving(
     edge_codes = g_full.edge_codes()
     patients = np.repeat(np.arange(m, dtype=np.int64), demand_p)
     events = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), demand_e))
+    codes = patients * n + events
+    hit = in_sorted(edge_codes, codes)
 
     def conflicts() -> np.ndarray:
-        codes = patients * n + events
         first = np.zeros(len(codes), dtype=bool)
         first[np.unique(codes, return_index=True)[1]] = True
-        return in_sorted(edge_codes, codes) | ~first
+        return hit | ~first
 
     bad = conflicts()
     for _ in range(REDEAL_ROUNDS):
@@ -128,6 +129,8 @@ def sample_negative_degree_preserving(
         partners = rng.choice(clean, size=min(int(bad.sum()), len(clean)), replace=False)
         slots = np.concatenate([np.flatnonzero(bad), partners])
         events[slots] = events[rng.permutation(slots)]
+        codes[slots] = patients[slots] * n + events[slots]
+        hit[slots] = in_sorted(edge_codes, codes[slots])
         bad = conflicts()
 
     for i in np.unique(patients[bad]):
@@ -139,7 +142,7 @@ def sample_negative_degree_preserving(
         events[stuck] = rng.choice(np.flatnonzero(ok), size=len(stuck), replace=False)
 
     gap = int(np.abs(np.bincount(events, minlength=n) - demand_e).sum())
-    return canonical_pairs(np.column_stack([patients, events])), gap > 0, gap
+    return decode_pairs(np.sort(patients * n + events), n), gap > 0, gap
 
 
 def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
@@ -156,7 +159,7 @@ def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
     if k > 0.25 * total:
         complement = np.setdiff1d(np.arange(m * n, dtype=np.int64), edge_codes, assume_unique=True)
         picks = rng.choice(len(complement), size=k, replace=False)
-        return canonical_pairs(decode_pairs(complement[picks], n))
+        return decode_pairs(np.sort(complement[picks]), n)
 
     out = np.empty(0, dtype=np.int64)
     while len(out) < k:
@@ -165,4 +168,4 @@ def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
         fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
         fresh = fresh[~np.isin(fresh, out)]
         out = np.concatenate([out, fresh[: k - len(out)]])
-    return canonical_pairs(decode_pairs(out, n))
+    return decode_pairs(np.sort(out), n)

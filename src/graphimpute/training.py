@@ -94,7 +94,7 @@ def balanced_bce(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
     return float(-(pos_term + neg_term) / (2.0 * k))
 
 
-def _forward(params, config, g_visible, demographics, positives, negatives):
+def _forward(params, g_visible, demographics, positives, negatives):
     """Forward pass shared by the loss and its gradient.
 
     Scores the stacked [positives; negatives] pairs in one scorer call;
@@ -105,7 +105,7 @@ def _forward(params, config, g_visible, demographics, positives, negatives):
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
     pairs = np.concatenate([positives, negatives])
-    trace = forward_trace(params, config, g_visible, demographics)
+    trace = forward_trace(params, g_visible, demographics)
     probs, _, h_pre, u = score_edges_raw(
         params, trace.patient_states[-1], trace.event_states[-1], pairs
     )
@@ -116,14 +116,13 @@ def _forward(params, config, g_visible, demographics, positives, negatives):
 
 def loss_forward(
     params: ModelParams,
-    config: ModelConfig,
     g_visible: BipartiteGraph,
     demographics: np.ndarray,
     positives: np.ndarray,
     negatives: np.ndarray,
 ) -> float:
     """Loss only, via the same forward path as the gradient computation."""
-    return _forward(params, config, g_visible, demographics, positives, negatives)[0]
+    return _forward(params, g_visible, demographics, positives, negatives)[0]
 
 
 def _scorer_backward(params, pairs, h_pre, u, dlogit, grads, num_patients, num_events):
@@ -146,7 +145,6 @@ def _scorer_backward(params, pairs, h_pre, u, dlogit, grads, num_patients, num_e
 
 def backward(
     params: ModelParams,
-    config: ModelConfig,
     g_visible: BipartiteGraph,
     demographics: np.ndarray,
     positives: np.ndarray,
@@ -160,7 +158,7 @@ def backward(
     clamped log terms are zero, matching the piecewise loss exactly.
     """
     loss, trace, pairs, probs, h_pre, u = _forward(
-        params, config, g_visible, demographics, positives, negatives
+        params, g_visible, demographics, positives, negatives
     )
     k = len(pairs) // 2
     # d loss / d logit; terms whose log argument was clamped contribute zero.
@@ -176,8 +174,8 @@ def backward(
         params, pairs, h_pre, u, dlogit, grads, g_visible.num_patients, g_visible.num_events
     )
 
-    ap_t = trace.agg_patient.T.tocsr()
-    ae_t = trace.agg_event.T.tocsr()
+    ap_t = trace.agg_patient.T
+    ae_t = trace.agg_event.T
     last = len(params.layers) - 1
     for idx in range(last, -1, -1):
         layer = params.layers[idx]
@@ -263,7 +261,6 @@ def sample_epoch_batch(
 
 def train_epoch(
     state: TrainState,
-    model_config: ModelConfig,
     train_config: TrainConfig,
     train_graph: BipartiteGraph,
     demographics: np.ndarray,
@@ -274,12 +271,7 @@ def train_epoch(
     batch = sample_epoch_batch(train_graph, train_config, epoch)
     g_visible = build(batch.visible, train_graph.num_patients, train_graph.num_events)
     loss, grads = backward(
-        state.params,
-        model_config,
-        g_visible,
-        demographics,
-        batch.invisible,
-        batch.negative,
+        state.params, g_visible, demographics, batch.invisible, batch.negative
     )
     adam_update(state, grads, train_config)
     state.params.check_finite()
@@ -324,7 +316,7 @@ def fit(
     )
     state = init_train_state(params)
     for epoch in range(train_config.epochs):
-        row = train_epoch(state, model_config, train_config, graph, demo, epoch)
+        row = train_epoch(state, train_config, graph, demo, epoch)
         if log is not None:
             log(row)
     return state

@@ -71,7 +71,7 @@ def bench_runs(bench_split):
         t0 = time.perf_counter()
         state = training.fit(bench_split.train, mc, tc)
         wall = time.perf_counter() - t0
-        grid = experiment.score_test_grid(state.params, mc, bench_split.train, bench_split.test_visible)
+        grid = experiment.score_test_grid(state.params, bench_split.train, bench_split.test_visible)
         report = experiment.evaluate_grid(grid, bench_split, "fixed")
         runs[version] = {"state": state, "grid": grid, "report": report, "wall": wall}
     return runs
@@ -89,13 +89,13 @@ def _gradient_instance():
     demo = np.random.default_rng(5).normal(size=(6, 2))
     config = ModelConfig(embedding_dim=4, num_layers=3, scorer_hidden=3)
     params = init_params(config, num_events=5, seed=6)
-    return params, config, g_vis, demo, hidden, negatives
+    return params, g_vis, demo, hidden, negatives
 
 
 def test_every_gradient_matches_central_differences():
     t0 = time.perf_counter()
-    params, config, g, demo, pos, neg = _gradient_instance()
-    _, grads = backward(params, config, g, demo, pos, neg)
+    params, g, demo, pos, neg = _gradient_instance()
+    _, grads = backward(params, g, demo, pos, neg)
     h = 1e-5
     worst = 0.0
     for name, tensor in params.named_tensors():
@@ -104,9 +104,9 @@ def test_every_gradient_matches_central_differences():
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            up = loss_forward(params, config, g, demo, pos, neg)
+            up = loss_forward(params, g, demo, pos, neg)
             flat[idx] = orig - h
-            down = loss_forward(params, config, g, demo, pos, neg)
+            down = loss_forward(params, g, demo, pos, neg)
             flat[idx] = orig
             fd = (up - down) / (2 * h)
             denom = max(abs(fd), abs(gflat[idx]))
@@ -173,7 +173,7 @@ def test_loss_anchor_and_memorization():
     state = training.init_train_state(params)
     reached = None
     for epoch in range(tc.epochs):
-        row = training.train_epoch(state, mc, tc, graph, demo, epoch)
+        row = training.train_epoch(state, tc, graph, demo, epoch)
         if row["loss"] < 0.05:
             reached = epoch
             break
@@ -307,7 +307,7 @@ def test_benchmark_runtime_and_scoring_throughput(bench_split):
     t0 = time.perf_counter()
     state = training.fit(bench_split.train, mc, tc)
     t_score = time.perf_counter()
-    grid = experiment.score_test_grid(state.params, mc, bench_split.train, bench_split.test_visible)
+    grid = experiment.score_test_grid(state.params, bench_split.train, bench_split.test_visible)
     t_eval = time.perf_counter()
     experiment.evaluate_grid(grid, bench_split, "fixed").summary()
     total = time.perf_counter() - t0

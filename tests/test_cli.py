@@ -63,6 +63,7 @@ class TestArgumentHandling:
             ({"train": {"weight_decay": 0.1}}, "train.weight_decay"),
             ({"train": {"adam_eps": 1e-8}}, "train.adam_eps"),
             ({"model": {"layer_bias": True}}, "model.layer_bias"),
+            ({"model": {"demographics_dim": 2}}, "model.demographics_dim"),
         ]
         for updates, name in cases:
             path = _write_config(tmp_path / "c.json", **updates)

@@ -21,7 +21,7 @@ from graphimpute.model import (
 
 
 def _small_config(**kw):
-    base = dict(embedding_dim=4, num_layers=2, scorer_hidden=3, demographics_dim=2)
+    base = dict(embedding_dim=4, num_layers=2, scorer_hidden=3)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -113,7 +113,7 @@ class TestMessagePass:
         params = init_params(config, num_events=5, seed=1)
         p0 = rng.normal(size=(6, 4))
         e0 = rng.normal(size=(5, 4))
-        p, e = message_pass(params, config, tiny_graph, p0, e0)
+        p, e = message_pass(params, tiny_graph, p0, e0)
         p_ref, e_ref = _dense_reference(params, config, tiny_graph, p0, e0)
         assert np.allclose(p, p_ref, atol=1e-10)
         assert np.allclose(e, e_ref, atol=1e-10)
@@ -124,7 +124,7 @@ class TestMessagePass:
         _zero_layer(params)
         p0 = np.abs(np.random.default_rng(0).normal(size=(6, 4)))
         e0 = np.abs(np.random.default_rng(1).normal(size=(5, 4)))
-        p, e = message_pass(params, config, tiny_graph, p0, e0)
+        p, e = message_pass(params, tiny_graph, p0, e0)
         # nonnegative inputs survive the inter-layer relu unchanged
         assert np.allclose(p, p0, atol=1e-12)
         assert np.allclose(e, e0, atol=1e-12)
@@ -142,7 +142,7 @@ class TestMessagePass:
         layer.b_e = np.zeros(4)
         p0 = np.random.default_rng(4).normal(size=(3, 4))
         e0 = np.random.default_rng(5).normal(size=(2, 4))
-        p, e = message_pass(params, config, g, p0, e0)
+        p, e = message_pass(params, g, p0, e0)
         assert np.allclose(p[0], (e0[0] + e0[1]) / 2, atol=1e-12)
         assert np.allclose(p[1], e0[1], atol=1e-12)
         assert np.array_equal(p[2], np.zeros(4))  # isolated patient
@@ -163,7 +163,7 @@ class TestMessagePass:
         layer.b_e = np.zeros(4)
         p0 = np.full((1, 4), 3.0)
         e0 = np.zeros((1, 4))
-        _, e = message_pass(params, config, g, p0, e0)
+        _, e = message_pass(params, g, p0, e0)
         assert np.allclose(e[0], p0[0], atol=1e-12)
 
     def test_patient_permutation_equivariance(self, tiny_graph):
@@ -172,14 +172,14 @@ class TestMessagePass:
         params = init_params(config, num_events=5, seed=8)
         p0 = rng.normal(size=(6, 4))
         e0 = rng.normal(size=(5, 4))
-        p, e = message_pass(params, config, tiny_graph, p0, e0)
+        p, e = message_pass(params, tiny_graph, p0, e0)
         perm = rng.permutation(6)
         pairs = tiny_graph.all_edges().copy()
         inv = np.empty(6, dtype=np.int64)
         inv[perm] = np.arange(6)
         pairs[:, 0] = inv[pairs[:, 0]]
         g2 = build(pairs, 6, 5)
-        p2, e2 = message_pass(params, config, g2, p0[perm], e0)
+        p2, e2 = message_pass(params, g2, p0[perm], e0)
         assert np.allclose(p2, p[perm], atol=1e-10)
         assert np.allclose(e2, e, atol=1e-10)
 
@@ -194,7 +194,7 @@ class TestMessagePass:
         layer.w_nbr_p = np.eye(4)
         layer.b_p = np.zeros(4)
         e0 = rng.normal(size=(6, 4))
-        p, _ = message_pass(params, config, g, np.zeros((8, 4)), e0)
+        p, _ = message_pass(params, g, np.zeros((8, 4)), e0)
         assert np.all(p >= e0.min(axis=0) - 1e-12)
         assert np.all(p <= e0.max(axis=0) + 1e-12)
 
@@ -203,7 +203,7 @@ class TestMessagePass:
         config = _small_config()
         params = init_params(config, num_events=3, seed=11)
         p, e = message_pass(
-            params, config, g,
+            params, g,
             np.random.default_rng(0).normal(size=(4, 4)),
             np.random.default_rng(1).normal(size=(3, 4)),
         )
@@ -374,9 +374,9 @@ class TestForwardTrace:
         config = _small_config(num_layers=3)
         params = init_params(config, num_events=5, seed=32)
         demo = rng.normal(size=(6, 2))
-        trace = forward_trace(params, config, tiny_graph, demo)
+        trace = forward_trace(params, tiny_graph, demo)
         p, e = message_pass(
-            params, config, tiny_graph,
+            params, tiny_graph,
             encode_patients(params, demo), params.event_embeddings,
         )
         assert np.array_equal(trace.patient_states[-1], p)
@@ -409,8 +409,9 @@ class TestCheckpoint:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["meta"]))
-        # 999 is unknown; 1 is the format whose model config had layer_bias
-        for version, extra in ((999, {}), (1, {"layer_bias": True})):
+        # 999 is unknown; 1 is the format whose model config had layer_bias,
+        # 2 the one whose model config had demographics_dim
+        for version, extra in ((999, {}), (1, {"layer_bias": True}), (2, {"demographics_dim": 2})):
             meta["format_version"] = version
             meta["config"].update(extra)
             arrays["meta"] = np.array(json.dumps(meta))

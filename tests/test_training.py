@@ -85,18 +85,18 @@ def _fd_instance():
     demo = np.random.default_rng(5).normal(size=(6, 2))
     config = ModelConfig(embedding_dim=4, num_layers=3, scorer_hidden=3)
     params = init_params(config, num_events=5, seed=6)
-    return params, config, g_vis, demo, hidden, negatives
+    return params, g_vis, demo, hidden, negatives
 
 
 class TestBackward:
     def test_loss_matches_loss_forward(self):
-        params, config, g, demo, pos, neg = _fd_instance()
-        loss, _ = backward(params, config, g, demo, pos, neg)
-        assert loss == pytest.approx(loss_forward(params, config, g, demo, pos, neg), abs=1e-14)
+        params, g, demo, pos, neg = _fd_instance()
+        loss, _ = backward(params, g, demo, pos, neg)
+        assert loss == pytest.approx(loss_forward(params, g, demo, pos, neg), abs=1e-14)
 
     def test_finite_difference_spot_check(self):
-        params, config, g, demo, pos, neg = _fd_instance()
-        _, grads = backward(params, config, g, demo, pos, neg)
+        params, g, demo, pos, neg = _fd_instance()
+        _, grads = backward(params, g, demo, pos, neg)
         tensors = dict(params.named_tensors())
         h = 1e-6
         rng = np.random.default_rng(0)
@@ -105,16 +105,16 @@ class TestBackward:
             for idx in {0, int(rng.integers(flat.size))}:
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = loss_forward(params, config, g, demo, pos, neg)
+                up = loss_forward(params, g, demo, pos, neg)
                 flat[idx] = orig - h
-                down = loss_forward(params, config, g, demo, pos, neg)
+                down = loss_forward(params, g, demo, pos, neg)
                 flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 an = grads[name].reshape(-1)[idx]
                 assert an == pytest.approx(fd, rel=1e-4, abs=1e-9), f"{name}[{idx}]"
 
     def test_event_outside_graph_and_batch_gets_zero_gradient(self):
-        params, config, g, demo, pos, neg = _fd_instance()
+        params, g, demo, pos, neg = _fd_instance()
         # event 4 appears only through hidden/negative pairs; rebuild both
         # without it and drop its edges from the visible graph
         g2 = build(
@@ -122,15 +122,15 @@ class TestBackward:
         )
         pos2 = np.array([[0, 2], [2, 3]])
         neg2 = np.array([[2, 0], [5, 1]])
-        _, grads = backward(params, config, g2, demo, pos2, neg2)
+        _, grads = backward(params, g2, demo, pos2, neg2)
         assert np.array_equal(grads["event_embeddings"][4], np.zeros(4))
         assert np.any(grads["event_embeddings"][0] != 0.0)
 
     def test_poisoned_params_raise_naming_tensor(self):
-        params, config, g, demo, pos, neg = _fd_instance()
+        params, g, demo, pos, neg = _fd_instance()
         params.event_embeddings[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite gradient for parameter"):
-            backward(params, config, g, demo, pos, neg)
+            backward(params, g, demo, pos, neg)
 
 
 class TestAdam:
