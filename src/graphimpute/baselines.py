@@ -76,14 +76,13 @@ def knn_impute(
     test_visible: np.ndarray,
     num_test_patients: int,
     cfg: KnnConfig,
-    pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score unmeasured entries by the fraction of nearest train patients with
     the event.
 
     Each test patient is represented by its visible positives only. Returns
-    the full (test patients, events) score grid, or just the scores for
-    `pairs` when given. Scores lie on the grid {0, 1/k, ..., 1}.
+    the full (test patients, events) score grid; scores lie on the grid
+    {0, 1/k, ..., 1}.
     """
     m, n = train.num_patients, train.num_events
     if m == 0:
@@ -101,23 +100,15 @@ def knn_impute(
     neighbors = nearest_train_patients(
         train_bits, query_bits, cfg.k_neighbors, cfg.distance
     )
-    grid = train_bool[neighbors].mean(axis=1)
-    if pairs is None:
-        return grid
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return grid[pairs[:, 0], pairs[:, 1]]
+    return train_bool[neighbors].mean(axis=1)
 
 
 def frequency_baseline(
     train: Dataset,
     num_test_patients: int | None = None,
-    pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score every entry by its event's train frequency, ignoring the patient."""
     freq = train.event_frequencies()
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return freq[pairs[:, 1]]
     if num_test_patients is None:
         raise ValueError("need num_test_patients for a full score grid")
     return np.tile(freq, (num_test_patients, 1))

@@ -7,6 +7,7 @@ demographics. Zeros are unreliable: an absent pair means "never measured", not
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -15,18 +16,10 @@ import numpy as np
 # Demographic features per patient: (age_years, sex).
 DEMOGRAPHICS_DIM = 2
 
-
-def canonical_pairs(pairs) -> np.ndarray:
-    """Return pairs as an (k, 2) int64 array, lexicographically sorted, deduplicated."""
-    arr = np.asarray(list(pairs) if isinstance(pairs, (set, frozenset)) else pairs, dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = arr.reshape(-1, 2)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    keep = np.ones(len(arr), dtype=bool)
-    keep[1:] = np.any(arr[1:] != arr[:-1], axis=1)
-    return arr[keep]
+# Header rows of the two on-disk formats, which load_triplets reads and
+# write_dataset writes.
+TRIPLET_HEADER = ("patient_id", "event_id")
+DEMOGRAPHICS_HEADER = ("patient_id", "age", "sex")
 
 
 def encode_pairs(pairs: np.ndarray, num_events: int) -> np.ndarray:
@@ -61,15 +54,18 @@ class Dataset:
     patient_labels: list[str] | None = None
 
     def __post_init__(self):
-        pos = canonical_pairs(self.positives)
-        object.__setattr__(self, "positives", pos)
-        demo = np.asarray(self.demographics, dtype=np.float64)
-        object.__setattr__(self, "demographics", demo)
+        pos = np.asarray(self.positives, dtype=np.int64).reshape(-1, 2)
+        # Check ranges before encoding: an out-of-range event index would
+        # otherwise alias to another patient's valid code.
         if len(pos) > 0:
             if pos[:, 0].min() < 0 or pos[:, 0].max() >= self.num_patients:
                 raise ValueError("patient index out of range")
             if pos[:, 1].min() < 0 or pos[:, 1].max() >= self.num_events:
                 raise ValueError("event index out of range")
+        pos = decode_pairs(np.unique(encode_pairs(pos, self.num_events)), self.num_events)
+        object.__setattr__(self, "positives", pos)
+        demo = np.asarray(self.demographics, dtype=np.float64)
+        object.__setattr__(self, "demographics", demo)
         if demo.shape != (self.num_patients, DEMOGRAPHICS_DIM):
             raise ValueError(
                 f"demographics shape {demo.shape} does not match "
@@ -140,6 +136,27 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _read_rows(path, header: tuple[str, ...]):
+    """(line number, stripped fields) of each non-blank row of a CSV file.
+
+    A first line equal to ``header`` is skipped; a row with another field
+    count is an error that names the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if lineno == 1 and line.lower().replace(" ", "") == ",".join(header):
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
+                )
+            yield lineno, [f.strip() for f in fields]
+
+
 def load_triplets(path, demographics_path) -> Dataset:
     """Load a dataset from a triplet file and a demographics file.
 
@@ -149,49 +166,22 @@ def load_triplets(path, demographics_path) -> Dataset:
     The demographics file defines the patient universe and its row order; event
     ids are reindexed in sorted order.
     """
-    demo_rows: list[tuple[str, float, float]] = []
-    seen_patients: set[str] = set()
-    with open(demographics_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "patient_id,age,sex":
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{demographics_path}: line {lineno}: expected 3 fields, got {len(fields)}"
-                )
-            pid, age_s, sex_s = (f.strip() for f in fields)
-            try:
-                age = float(age_s)
-            except ValueError:
-                raise ValueError(f"{demographics_path}: line {lineno}: bad age {age_s!r}") from None
-            sex_map = {"M": 1.0, "F": 0.0, "0": 0.0, "1": 1.0}
-            if sex_s.upper() not in sex_map:
-                raise ValueError(f"{demographics_path}: line {lineno}: bad sex {sex_s!r}")
-            if pid in seen_patients:
-                raise ValueError(f"{demographics_path}: line {lineno}: duplicate patient {pid!r}")
-            seen_patients.add(pid)
-            demo_rows.append((pid, age, sex_map[sex_s.upper()]))
+    sex_map = {"M": 1.0, "F": 0.0, "0": 0.0, "1": 1.0}
+    demo_rows: list[tuple[float, float]] = []
+    patient_index: dict[str, int] = {}
+    for lineno, (pid, age_s, sex_s) in _read_rows(demographics_path, DEMOGRAPHICS_HEADER):
+        try:
+            age = float(age_s)
+        except ValueError:
+            raise ValueError(f"{demographics_path}: line {lineno}: bad age {age_s!r}") from None
+        if sex_s.upper() not in sex_map:
+            raise ValueError(f"{demographics_path}: line {lineno}: bad sex {sex_s!r}")
+        if pid in patient_index:
+            raise ValueError(f"{demographics_path}: line {lineno}: duplicate patient {pid!r}")
+        patient_index[pid] = len(demo_rows)
+        demo_rows.append((age, sex_map[sex_s.upper()]))
 
-    patient_ids = [row[0] for row in demo_rows]
-    patient_index = {pid: i for i, pid in enumerate(patient_ids)}
-
-    triplets: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "patient_id,event_id":
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(fields)}")
-            triplets.append((fields[0].strip(), fields[1].strip()))
-
+    triplets = [tuple(fields) for _, fields in _read_rows(path, TRIPLET_HEADER)]
     missing = sorted({pid for pid, _ in triplets if pid not in patient_index})
     if missing:
         raise ValueError(
@@ -204,16 +194,14 @@ def load_triplets(path, demographics_path) -> Dataset:
         [(patient_index[pid], event_index[eid]) for pid, eid in triplets], dtype=np.int64
     ).reshape(-1, 2)
 
-    demographics = np.array([[age, sex] for _, age, sex in demo_rows], dtype=np.float64).reshape(
-        len(demo_rows), 2
-    )
+    demographics = np.array(demo_rows, dtype=np.float64).reshape(len(demo_rows), 2)
     return Dataset(
         num_patients=len(demo_rows),
         num_events=len(event_ids),
         positives=pairs,
         demographics=demographics,
         event_labels=event_ids,
-        patient_labels=patient_ids,
+        patient_labels=list(patient_index),
     )
 
 
@@ -299,7 +287,6 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
     train_ds = _subset_patients(d, train_idx)
     test_all = _subset_patients(d, test_idx)
 
-    heldout_chunks = []
     visible_mask = np.ones(len(test_all.positives), dtype=bool)
     pos = test_all.positives
     row_starts = np.searchsorted(pos[:, 0], np.arange(test_all.num_patients))
@@ -312,20 +299,14 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
             continue
         picked = rng.choice(np.arange(lo, hi), size=n_mask, replace=False)
         visible_mask[picked] = False
-        heldout_chunks.append(pos[picked])
 
-    heldout = (
-        canonical_pairs(np.concatenate(heldout_chunks))
-        if heldout_chunks
-        else np.empty((0, 2), dtype=np.int64)
-    )
     test_visible = replace(test_all, positives=pos[visible_mask])
     if event_index_map is None:
         event_index_map = np.arange(d.num_events, dtype=np.int64)
     return SplitDataset(
         train=train_ds,
         test_visible=test_visible,
-        test_heldout=heldout,
+        test_heldout=pos[~visible_mask],
         event_index_map=event_index_map,
         train_patient_indices=train_idx,
         test_patient_indices=test_idx,
@@ -403,8 +384,9 @@ def generate_synthetic(
         demographics=demographics,
         event_labels=event_labels,
         event_categories=event_categories,
+        patient_labels=[f"p{i:06d}" for i in range(m)],
     )
-    return ds, canonical_pairs(ground_truth)
+    return ds, ground_truth
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -447,3 +429,27 @@ def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_pairs(
+    path, pairs: np.ndarray, patient_labels: list[str], event_labels: list[str]
+) -> None:
+    """Write (patient, event) index pairs as labelled ``patient_id,event_id`` rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIPLET_HEADER)
+        writer.writerows((patient_labels[i], event_labels[j]) for i, j in pairs.tolist())
+
+
+def write_dataset(d: Dataset, triplets_path, demographics_path) -> None:
+    """Write a labelled dataset in the two files load_triplets reads."""
+    if d.patient_labels is None or d.event_labels is None:
+        raise ValueError("writing a dataset needs patient and event labels")
+    with open(demographics_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DEMOGRAPHICS_HEADER)
+        writer.writerows(
+            (pid, f"{age:.10g}", int(sex))
+            for pid, (age, sex) in zip(d.patient_labels, d.demographics.tolist())
+        )
+    write_pairs(triplets_path, d.positives, d.patient_labels, d.event_labels)

@@ -29,6 +29,8 @@ from .dataset import (
     load_triplets,
     split,
     standardize_demographics,
+    write_dataset,
+    write_pairs,
     write_split_manifest,
 )
 from .baselines import KnnConfig
@@ -207,18 +209,22 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
+def _generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
+    """The configured synthetic cohort and its ground-truth pairs."""
+    s = cfg.data.synthetic
+    return generate_synthetic(
+        s.num_patients,
+        s.num_events,
+        s.rank,
+        s.target_density,
+        seed=substream_seed(cfg.seed, "generate"),
+        observe_probability=s.observe_probability,
+    )
+
+
 def prepare_dataset(cfg: RunConfig) -> Dataset:
     if cfg.data.synthetic is not None:
-        s = cfg.data.synthetic
-        ds, _ = generate_synthetic(
-            s.num_patients,
-            s.num_events,
-            s.rank,
-            s.target_density,
-            seed=substream_seed(cfg.seed, "generate"),
-            observe_probability=s.observe_probability,
-        )
-        return ds
+        return _generate(cfg)[0]
     return load_triplets(cfg.data.triplets, cfg.data.demographics)
 
 
@@ -372,20 +378,12 @@ def run_evaluate(
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    if sd is None:
+        sd = prepare_split(cfg, prepare_dataset(cfg))
     if imputer == "graph" and params is None:
         if checkpoint_path is None:
             raise ValueError("need a checkpoint or explicit parameters")
-        model_cfg, params, _ = load_checkpoint(checkpoint_path)
-        if model_cfg != cfg.model:
-            raise ConfigError(
-                "checkpoint model config does not match the run config"
-            )
-    if sd is None:
-        sd = prepare_split(cfg, prepare_dataset(cfg))
-    if imputer == "graph" and params.num_events() != sd.train.num_events:
-        raise ConfigError(
-            f"checkpoint has {params.num_events()} events but split has {sd.train.num_events}"
-        )
+        params = _checked_checkpoint(cfg, checkpoint_path, sd)
 
     t0 = time.perf_counter()
     grid = imputer_score_grid(imputer, cfg, sd, params)
@@ -471,27 +469,14 @@ def run_generate(cfg: RunConfig, run_dir) -> dict:
         raise ConfigError("generate requires a data.synthetic section")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    s = cfg.data.synthetic
-    ds, truth = generate_synthetic(
-        s.num_patients,
-        s.num_events,
-        s.rank,
-        s.target_density,
-        seed=substream_seed(cfg.seed, "generate"),
-        observe_probability=s.observe_probability,
-    )
+    ds, truth = _generate(cfg)
     paths = {
         "triplets": run_dir / "triplets.csv",
         "demographics": run_dir / "demographics.csv",
         "ground_truth": run_dir / "ground_truth.csv",
     }
-    write_dataset_files(ds, paths["triplets"], paths["demographics"])
-    event_labels = ds.event_labels
-    with open(paths["ground_truth"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "event_id"])
-        for i, j in truth:
-            writer.writerow([_patient_label(ds, i), event_labels[j]])
+    write_dataset(ds, paths["triplets"], paths["demographics"])
+    write_pairs(paths["ground_truth"], truth, ds.patient_labels, ds.event_labels)
     write_manifest(
         run_dir / "manifest.json",
         "generate",
@@ -501,62 +486,44 @@ def run_generate(cfg: RunConfig, run_dir) -> dict:
     return {"dataset": ds, "paths": paths}
 
 
-def _patient_label(ds: Dataset, i: int) -> str:
-    return ds.patient_labels[i] if ds.patient_labels is not None else f"p{i:06d}"
-
-
-def write_dataset_files(ds: Dataset, triplets_path, demographics_path) -> None:
-    """Write a dataset in the triplet + demographics format load_triplets reads."""
-    labels = ds.event_labels or [f"e{j:05d}" for j in range(ds.num_events)]
-    with open(demographics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "age", "sex"])
-        for i in range(ds.num_patients):
-            writer.writerow(
-                [
-                    _patient_label(ds, i),
-                    f"{ds.demographics[i, 0]:.10g}",
-                    int(ds.demographics[i, 1]),
-                ]
-            )
-    with open(triplets_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "event_id"])
-        for i, j in ds.positives:
-            writer.writerow([_patient_label(ds, i), labels[j]])
-
-
 def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
-    """Materialize the split: manifest plus train/test triplet files."""
+    """Materialize the split: manifest plus train/test triplet files.
+
+    Patient ids are the cohort's, so the train and test files name disjoint
+    patients.
+    """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     ds = prepare_dataset(cfg)
     sd = prepare_split(cfg, ds)
     write_split_manifest(run_dir / "split_manifest.txt", cfg.split, sd)
-    write_dataset_files(sd.train, run_dir / "train_triplets.csv", run_dir / "train_demographics.csv")
-    write_dataset_files(
-        sd.test_visible, run_dir / "test_visible_triplets.csv", run_dir / "test_demographics.csv"
-    )
-    labels = sd.train.event_labels or [f"e{j:05d}" for j in range(sd.train.num_events)]
-    with open(run_dir / "test_heldout.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "event_id"])
-        for i, j in sd.test_heldout:
-            writer.writerow([_patient_label(sd.test_visible, i), labels[j]])
+    write_dataset(sd.train, run_dir / "train_triplets.csv", run_dir / "train_demographics.csv")
+    test = sd.test_visible
+    write_dataset(test, run_dir / "test_visible_triplets.csv", run_dir / "test_demographics.csv")
+    write_pairs(run_dir / "test_heldout.csv", sd.test_heldout, test.patient_labels, test.event_labels)
     write_manifest(run_dir / "manifest.json", "split", cfg)
     return sd
+
+
+def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> ModelParams:
+    """Checkpoint parameters, refused unless they fit the run's model config and split."""
+    model_cfg, params = load_checkpoint(checkpoint_path)
+    if model_cfg != cfg.model:
+        fields = [k for k, v in dataclasses.asdict(model_cfg).items() if v != getattr(cfg.model, k)]
+        raise ConfigError(f"checkpoint model config differs from the run config in {', '.join(fields)}")
+    if params.num_events() != sd.train.num_events:
+        raise ConfigError(
+            f"checkpoint has {params.num_events()} events but split has {sd.train.num_events}"
+        )
+    return params
 
 
 def run_export_embeddings(cfg: RunConfig, run_dir, checkpoint_path) -> None:
     """Message-pass on the train graph and export event latents + neighbors."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    _, params, _ = load_checkpoint(checkpoint_path)
     sd = prepare_split(cfg, prepare_dataset(cfg))
-    if params.num_events() != sd.train.num_events:
-        raise ConfigError(
-            f"checkpoint has {params.num_events()} events but split has {sd.train.num_events}"
-        )
+    params = _checked_checkpoint(cfg, checkpoint_path, sd)
     e_lat = train_event_latents(params, sd.train)
     export_event_embeddings(
         e_lat,

@@ -4,7 +4,7 @@ One patient-side CSR (rows are patients, sorted event indices) gives O(1)
 patient degree lookups, O(log edges) membership tests on the sorted edge
 codes, and cache-friendly neighbor iteration. The event side is its
 transpose, formed where it is needed (`model.mean_operators`). Graphs are
-immutable; mutation returns a new value.
+immutable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import canonical_pairs, decode_pairs, encode_pairs
+from .dataset import encode_pairs
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,3 @@ def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGra
         patient_indices=codes % num_events,
     )
 
-
-def remove_edges(g: BipartiteGraph, edges) -> BipartiteGraph:
-    """New graph without the given edges; every edge must be present."""
-    pairs = canonical_pairs(edges)
-    if len(pairs) == 0:
-        return g
-    present = g.contains_pairs(pairs)
-    if not np.all(present):
-        i, j = pairs[np.flatnonzero(~present)[0]]
-        raise ValueError(f"cannot remove non-existent edge ({i}, {j})")
-    remaining = np.setdiff1d(g.edge_codes(), encode_pairs(pairs, g.num_events), assume_unique=True)
-    return build(decode_pairs(remaining, g.num_events), g.num_patients, g.num_events)

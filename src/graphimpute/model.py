@@ -316,21 +316,19 @@ def score_grid(
     return np.clip(out, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, extras=None) -> None:
+def save_checkpoint(path, config: ModelConfig, params: ModelParams) -> None:
     """Write a versioned checkpoint that round-trips bit-exactly."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(config),
         "num_events": params.num_events(),
-        "extras": sorted(extras) if extras else [],
     }
     arrays = {f"param/{name}": tensor for name, tensor in params.named_tensors()}
-    if extras:
-        arrays.update({f"extra/{key}": np.asarray(value) for key, value in extras.items()})
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict[str, np.ndarray]]:
+def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
+    """Read a checkpoint; meta keys and arrays this version does not use are ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -358,5 +356,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict[str, np.ndarra
             scorer_w2=get("scorer.w2"),
             scorer_b2=get("scorer.b2"),
         )
-        extras = {key: data[f"extra/{key}"] for key in meta["extras"]}
-    return config, params, extras
+    return config, params

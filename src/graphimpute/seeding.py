@@ -1,7 +1,7 @@
-"""Named random substreams derived from a single root seed.
+"""Named random substream seeds derived from a single root seed.
 
 Every stage of the pipeline (split, init, mask, negatives, ...) draws its
-randomness from a substream keyed by a stable label, so changing how one
+randomness from a seed keyed by a stable label, so changing how one
 stage consumes randomness cannot silently shift another stage's draws.
 """
 
@@ -15,12 +15,6 @@ import numpy as np
 def _label_key(label: str) -> int:
     # crc32 is stable across platforms and Python versions, unlike hash().
     return zlib.crc32(label.encode("utf-8"))
-
-
-def substream(root_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Generator for the (label, index) substream of ``root_seed``."""
-    seq = np.random.SeedSequence(root_seed, spawn_key=(_label_key(label), index))
-    return np.random.default_rng(seq)
 
 
 def substream_seed(root_seed: int, label: str, index: int = 0) -> int:

@@ -31,7 +31,7 @@ from graphimpute.dataset import (
     standardize_demographics,
 )
 from graphimpute.evaluation import evaluate, recall_frequency_spearman
-from graphimpute.graph import build, remove_edges
+from graphimpute.graph import build
 from graphimpute.model import ModelConfig, init_params
 from graphimpute.sampler import sample_invisible, sample_negative_degree_preserving
 from graphimpute.seeding import substream_seed
@@ -78,13 +78,9 @@ def bench_runs(bench_split):
 
 
 def _gradient_instance():
-    g_full = build(
-        np.array([[0, 0], [0, 2], [1, 1], [1, 3], [2, 3], [2, 4], [3, 0], [3, 1], [4, 2], [5, 4]]),
-        6,
-        5,
-    )
+    # the full graph is these visible edges plus the hidden ones
+    g_vis = build(np.array([[0, 0], [1, 1], [1, 3], [2, 4], [3, 0], [3, 1], [4, 2]]), 6, 5)
     hidden = np.array([[0, 2], [2, 3], [5, 4]])
-    g_vis = remove_edges(g_full, hidden)
     negatives = np.array([[0, 4], [2, 0], [5, 1]])
     demo = np.random.default_rng(5).normal(size=(6, 2))
     config = ModelConfig(embedding_dim=4, num_layers=3, scorer_hidden=3)

@@ -10,14 +10,14 @@ from graphimpute.baselines import (
     knn_impute,
     nearest_train_patients,
 )
-from graphimpute.dataset import Dataset, canonical_pairs
+from graphimpute.dataset import Dataset
 
 
 def _dataset(pairs, m, n):
     return Dataset(
         num_patients=m,
         num_events=n,
-        positives=canonical_pairs(pairs),
+        positives=pairs,
         demographics=np.zeros((m, 2)),
     )
 
@@ -138,17 +138,6 @@ class TestKnnImpute:
         assert np.allclose(grid * 4, np.round(grid * 4), atol=1e-12)
         assert grid.min() >= 0.0 and grid.max() <= 1.0
 
-    def test_pair_scores_match_grid(self):
-        rng = np.random.default_rng(6)
-        mask = rng.random((20, 8)) < 0.25
-        train = _dataset(np.column_stack(np.nonzero(mask)), 20, 8)
-        vis = np.array([[0, 1], [2, 3]])
-        cfg = KnnConfig(k_neighbors=5)
-        grid = knn_impute(train, vis, 3, cfg)
-        pairs = np.array([[0, 0], [1, 7], [2, 3]])
-        flat = knn_impute(train, vis, 3, cfg, pairs=pairs)
-        assert np.array_equal(flat, grid[pairs[:, 0], pairs[:, 1]])
-
     def test_empty_train_raises(self):
         train = _dataset(np.empty((0, 2), dtype=np.int64), 0, 3)
         with pytest.raises(ValueError, match="empty train"):
@@ -179,11 +168,6 @@ class TestFrequencyBaseline:
         assert grid.shape == (2, 3)
         assert np.allclose(grid[0], [0.5, 0.25, 0.0])
         assert np.array_equal(grid[0], grid[1])
-
-    def test_pair_lookup(self):
-        train = _dataset([[0, 0], [1, 0], [2, 1]], 4, 3)
-        out = frequency_baseline(train, pairs=np.array([[9, 0], [3, 2]]))
-        assert np.allclose(out, [0.5, 0.0])
 
     def test_needs_row_count_for_grid(self):
         train = _dataset([[0, 0]], 1, 1)

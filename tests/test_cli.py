@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphimpute.cli import main
+from graphimpute.dataset import load_triplets
 
 
 def _write_config(path, **updates):
@@ -115,6 +116,29 @@ class TestPipeline:
         assert "train" in out and "held-out" in out
         assert (run_dir / "split_manifest.txt").exists()
 
+    def test_split_files_name_cohort_patients(self, config_path, tmp_path):
+        gen, spl = tmp_path / "gen", tmp_path / "split"
+        assert main(["generate", "--config", str(config_path), "--run-dir", str(gen)]) == 0
+        assert main(["split", "--config", str(config_path), "--run-dir", str(spl)]) == 0
+        cohort = load_triplets(gen / "triplets.csv", gen / "demographics.csv")
+        demo = dict(zip(cohort.patient_labels, cohort.demographics.tolist()))
+        events = {pid: set() for pid in cohort.patient_labels}
+        for i, j in cohort.positives:
+            events[cohort.patient_labels[i]].add(cohort.event_labels[j])
+        train = load_triplets(spl / "train_triplets.csv", spl / "train_demographics.csv")
+        test = load_triplets(spl / "test_visible_triplets.csv", spl / "test_demographics.csv")
+        assert train.num_patients + test.num_patients == cohort.num_patients
+        assert not set(train.patient_labels) & set(test.patient_labels)
+        with open(spl / "test_heldout.csv") as fh:
+            heldout = [(row["patient_id"], row["event_id"]) for row in csv.DictReader(fh)]
+        assert heldout and {pid for pid, _ in heldout} <= set(test.patient_labels)
+        assert all(eid in events[pid] for pid, eid in heldout)
+        for d in (train, test):
+            for pid, row in zip(d.patient_labels, d.demographics.tolist()):
+                assert row == demo[pid], pid
+            for i, j in d.positives:
+                assert d.event_labels[j] in events[d.patient_labels[i]]
+
     def test_train_then_evaluate_then_export(self, config_path, tmp_path, capsys):
         train_dir = tmp_path / "train"
         assert main([
@@ -192,6 +216,19 @@ class TestPipeline:
         ])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_export_checkpoint_config_mismatch_exits_2(self, config_path, tmp_path, capsys):
+        train_dir = tmp_path / "train"
+        main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
+        other = _write_config(tmp_path / "other.json", model={"embedding_dim": 16})
+        code = main([
+            "export-embeddings", "--config", str(other), "--run-dir", str(tmp_path / "export"),
+            "--checkpoint", str(train_dir / "checkpoint.npz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "embedding_dim" in err
+        assert not (tmp_path / "export" / "event_embeddings.csv").exists()
 
     def test_compare_samplers_writes_bias_tables(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "bias"

@@ -9,13 +9,13 @@ from graphimpute import dataset as ds_mod
 from graphimpute.dataset import (
     Dataset,
     SplitSpec,
-    canonical_pairs,
     demographics_stats,
     filter_rare_events,
     generate_synthetic,
     load_triplets,
     split,
     standardize_demographics,
+    write_dataset,
 )
 
 
@@ -23,20 +23,23 @@ def _write(path, text):
     path.write_text(text, encoding="utf-8")
 
 
-def test_canonical_pairs_sorts_and_dedups():
+def test_dataset_positives_sorted_and_deduplicated():
     pairs = [(2, 1), (0, 3), (2, 1), (0, 1)]
-    out = canonical_pairs(pairs)
+    out = Dataset(3, 4, pairs, np.zeros((3, 2))).positives
     assert out.tolist() == [[0, 1], [0, 3], [2, 1]]
     assert out.dtype == np.int64
 
 
-def test_canonical_pairs_empty():
-    assert canonical_pairs([]).shape == (0, 2)
+def test_dataset_positives_empty():
+    assert Dataset(2, 2, [], np.zeros((2, 2))).positives.shape == (0, 2)
 
 
 def test_dataset_validates_ranges():
     with pytest.raises(ValueError, match="event index"):
         Dataset(2, 2, np.array([[0, 5]]), np.zeros((2, 2)))
+    # event 2 of patient 0 would encode as event 0 of patient 1
+    with pytest.raises(ValueError, match="event index"):
+        Dataset(2, 2, [[0, 2]], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="patient index"):
         Dataset(2, 2, np.array([[-1, 0]]), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="demographics shape"):
@@ -88,6 +91,19 @@ class TestLoadTriplets:
         _write(tmp_path / "d.csv", "patient_id,age,sex\np1,50,1\n")
         d = load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
         assert d.num_patients == 1 and len(d.positives) == 1
+
+    def test_write_dataset_round_trip(self, tmp_path):
+        d, _ = generate_synthetic(40, 12, 3, 0.1, seed=5)
+        write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
+        back = load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+        assert back.patient_labels == d.patient_labels
+        kept = sorted(set(d.positives[:, 1].tolist()))
+        assert back.event_labels == [d.event_labels[j] for j in kept]
+        assert np.array_equal(back.positives[:, 0], d.positives[:, 0])
+        assert np.array_equal(np.array(kept)[back.positives[:, 1]], d.positives[:, 1])
+        assert np.allclose(back.demographics, d.demographics, rtol=1e-9, atol=0)
+        with pytest.raises(ValueError, match="labels"):
+            write_dataset(Dataset(2, 2, [], np.zeros((2, 2))), tmp_path / "t.csv", tmp_path / "d.csv")
 
     def test_bad_sex_value(self, tmp_path):
         _write(tmp_path / "t.csv", "")
@@ -242,8 +258,8 @@ def test_standardize_demographics_uses_given_stats():
     )
 )
 @settings(max_examples=50, deadline=None)
-def test_canonical_pairs_is_sorted_unique(pairs):
-    out = canonical_pairs(pairs)
+def test_dataset_positives_are_sorted_unique(pairs):
+    out = Dataset(21, 16, pairs, np.zeros((21, 2))).positives
     assert len(set(map(tuple, out.tolist()))) == len(out)
     assert sorted(map(tuple, out.tolist())) == list(map(tuple, out.tolist()))
     assert set(map(tuple, out.tolist())) == set(pairs)

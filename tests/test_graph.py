@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphimpute.graph import build, remove_edges
+from graphimpute.graph import build
 from graphimpute.model import mean_operators
 
 
@@ -84,43 +84,6 @@ def test_all_edges_round_trip(tiny_graph):
     g2 = build(g.all_edges(), g.num_patients, g.num_events)
     assert np.array_equal(g2.patient_indptr, g.patient_indptr)
     assert np.array_equal(g2.patient_indices, g.patient_indices)
-
-
-def test_remove_edges_all_and_none(tiny_graph):
-    g = tiny_graph
-    empty = remove_edges(g, g.all_edges())
-    assert empty.edge_count == 0
-    same = remove_edges(g, np.empty((0, 2), dtype=np.int64))
-    assert np.array_equal(same.patient_indices, g.patient_indices)
-    assert same.edge_count == g.edge_count
-
-
-def test_remove_edges_degree_arithmetic(tiny_graph):
-    g = tiny_graph
-    drop = np.array([[0, 0], [2, 4]])
-    g2 = remove_edges(g, drop)
-    dp = np.bincount(drop[:, 0], minlength=g.num_patients)
-    de = np.bincount(drop[:, 1], minlength=g.num_events)
-    assert np.array_equal(g2.patient_degrees(), g.patient_degrees() - dp)
-    assert np.array_equal(g2.event_degrees(), g.event_degrees() - de)
-    # original untouched
-    assert g.contains_pairs(np.array([[0, 0]])).tolist() == [True]
-
-
-def test_remove_edges_missing_edge_error(tiny_graph):
-    with pytest.raises(ValueError, match="non-existent"):
-        remove_edges(tiny_graph, np.array([[0, 1]]))
-
-
-def test_union_of_removed_reproduces_graph(tiny_graph):
-    g = tiny_graph
-    drop = np.array([[0, 2], [3, 1], [5, 4]])
-    g2 = remove_edges(g, drop)
-    rebuilt = build(
-        np.concatenate([g2.all_edges(), drop]), g.num_patients, g.num_events
-    )
-    assert np.array_equal(rebuilt.patient_indptr, g.patient_indptr)
-    assert np.array_equal(rebuilt.patient_indices, g.patient_indices)
 
 
 @given(st.data())

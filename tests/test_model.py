@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from graphimpute.dataset import Dataset, canonical_pairs
+from graphimpute.dataset import Dataset
 from graphimpute.graph import build
 from graphimpute.model import (
     CHECKPOINT_FORMAT_VERSION,
@@ -30,7 +30,7 @@ def _dataset_from_pairs(pairs, m, n):
     return Dataset(
         num_patients=m,
         num_events=n,
-        positives=canonical_pairs(pairs),
+        positives=pairs,
         demographics=np.zeros((m, 2)),
     )
 
@@ -186,7 +186,7 @@ class TestMessagePass:
     def test_aggregate_stays_in_convex_hull(self):
         rng = np.random.default_rng(9)
         raw = np.column_stack([np.repeat(np.arange(8), 3), rng.integers(0, 6, 24)])
-        g = build(canonical_pairs(raw), 8, 6)
+        g = build(np.unique(raw, axis=0), 8, 6)
         config = _small_config(num_layers=1)
         params = init_params(config, num_events=6, seed=10)
         layer = params.layers[0]
@@ -390,14 +390,35 @@ class TestCheckpoint:
         config = _small_config(num_layers=3)
         params = init_params(config, num_events=6, seed=40)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, config, params, extras={"loss_history": np.array([0.7, 0.6])})
-        config2, params2, extras = load_checkpoint(path)
+        save_checkpoint(path, config, params)
+        config2, params2 = load_checkpoint(path)
         assert config2 == config
         orig = dict(params.named_tensors())
         for name, tensor in params2.named_tensors():
             assert np.array_equal(tensor, orig[name]), name
             assert tensor.dtype == orig[name].dtype, name
-        assert np.array_equal(extras["loss_history"], [0.7, 0.6])
+
+    def test_loads_file_with_extras(self, tmp_path):
+        import json
+
+        # version-3 files written before extras were dropped list them in the
+        # meta and store each as an extra/ array; both are ignored on load
+        config = _small_config()
+        params = init_params(config, num_events=3, seed=42)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, config, params)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["extras"] = ["loss_history"]
+        arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        arrays["extra/loss_history"] = np.array([0.7, 0.6])
+        np.savez(path, **arrays)
+        config2, params2 = load_checkpoint(path)
+        assert config2 == config
+        orig = dict(params.named_tensors())
+        for name, tensor in params2.named_tensors():
+            assert np.array_equal(tensor, orig[name]), name
 
     def test_rejects_unknown_version(self, tmp_path):
         import json

@@ -3,7 +3,7 @@ import pytest
 
 from graphimpute import training
 from graphimpute.dataset import generate_synthetic
-from graphimpute.graph import build, remove_edges
+from graphimpute.graph import build
 from graphimpute.model import ModelConfig, init_params
 from graphimpute.training import (
     ADAM_EPS,
@@ -74,13 +74,9 @@ class TestConfigValidation:
 
 
 def _fd_instance():
-    g_full = build(
-        np.array([[0, 0], [0, 2], [1, 1], [1, 3], [2, 3], [2, 4], [3, 0], [3, 1], [4, 2], [5, 4]]),
-        6,
-        5,
-    )
+    # the full graph is these visible edges plus the hidden ones
+    g_vis = build(np.array([[0, 0], [1, 1], [1, 3], [2, 4], [3, 0], [3, 1], [4, 2]]), 6, 5)
     hidden = np.array([[0, 2], [2, 3], [5, 4]])
-    g_vis = remove_edges(g_full, hidden)
     negatives = np.array([[0, 4], [2, 0], [5, 1]])
     demo = np.random.default_rng(5).normal(size=(6, 2))
     config = ModelConfig(embedding_dim=4, num_layers=3, scorer_hidden=3)
