@@ -103,12 +103,6 @@ def knn_impute(
     return train_bool[neighbors].mean(axis=1)
 
 
-def frequency_baseline(
-    train: Dataset,
-    num_test_patients: int | None = None,
-) -> np.ndarray:
+def frequency_baseline(train: Dataset, num_test_patients: int) -> np.ndarray:
     """Score every entry by its event's train frequency, ignoring the patient."""
-    freq = train.event_frequencies()
-    if num_test_patients is None:
-        raise ValueError("need num_test_patients for a full score grid")
-    return np.tile(freq, (num_test_patients, 1))
+    return np.tile(train.event_frequencies(), (num_test_patients, 1))

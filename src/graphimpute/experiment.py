@@ -46,6 +46,7 @@ from .evaluation import (
 )
 from .graph import build
 from .model import (
+    CheckpointVersionError,
     ModelConfig,
     ModelParams,
     encode_patients,
@@ -507,7 +508,10 @@ def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
 
 def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> ModelParams:
     """Checkpoint parameters, refused unless they fit the run's model config and split."""
-    model_cfg, params = load_checkpoint(checkpoint_path)
+    try:
+        model_cfg, params = load_checkpoint(checkpoint_path)
+    except CheckpointVersionError as exc:
+        raise ConfigError(f"{checkpoint_path}: {exc}") from None
     if model_cfg != cfg.model:
         fields = [k for k, v in dataclasses.asdict(model_cfg).items() if v != getattr(cfg.model, k)]
         raise ConfigError(f"checkpoint model config differs from the run config in {', '.join(fields)}")

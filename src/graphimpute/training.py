@@ -100,18 +100,18 @@ def _forward(params, g_visible, demographics, positives, negatives):
     Scores the stacked [positives; negatives] pairs in one scorer call;
     balanced_bce checks that both sets are non-empty and of equal size.
     Returns the loss, the forward trace, the stacked pairs, and the scorer's
-    probabilities, hidden pre-activations and inputs.
+    probabilities and hidden pre-activations.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
     pairs = np.concatenate([positives, negatives])
     trace = forward_trace(params, g_visible, demographics)
-    probs, _, h_pre, u = score_edges_raw(
+    probs, h_pre = score_edges_raw(
         params, trace.patient_states[-1], trace.event_states[-1], pairs
     )
     k = len(positives)
     loss = balanced_bce(probs[:k], probs[k:])
-    return loss, trace, pairs, probs, h_pre, u
+    return loss, trace, pairs, probs, h_pre
 
 
 def loss_forward(
@@ -125,22 +125,28 @@ def loss_forward(
     return _forward(params, g_visible, demographics, positives, negatives)[0]
 
 
-def _scorer_backward(params, pairs, h_pre, u, dlogit, grads, num_patients, num_events):
+def _scorer_backward(params, pairs, h_pre, dlogit, grads, patient_latents, event_latents):
     """Scorer gradients into `grads`; returns the adjoints of the patient and
-    event latents, summed over each node's pairs by a sparse incidence product."""
+    event latents.
+
+    The hidden adjoint is first summed over each node's pairs by a sparse
+    incidence product; the first layer's halves then multiply those per-node
+    sums, so no pairs x 2d matrix is formed.
+    """
     h = np.maximum(h_pre, 0.0)
     grads["scorer.w2"] = h.T @ dlogit
     grads["scorer.b2"] = dlogit.sum()
     dh = np.outer(dlogit, params.scorer_w2) * (h_pre > 0)
-    grads["scorer.w1"] = u.T @ dh
     grads["scorer.b1"] = dh.sum(axis=0)
-    du = dh @ params.scorer_w1.T
-    d = du.shape[1] // 2
     ones = np.ones(len(pairs))
     rows = np.arange(len(pairs))
-    to_p = sp.csr_matrix((ones, (pairs[:, 0], rows)), shape=(num_patients, len(pairs)))
-    to_e = sp.csr_matrix((ones, (pairs[:, 1], rows)), shape=(num_events, len(pairs)))
-    return to_p @ du[:, :d], to_e @ du[:, d:]
+    to_p = sp.csr_matrix((ones, (pairs[:, 0], rows)), shape=(len(patient_latents), len(pairs)))
+    to_e = sp.csr_matrix((ones, (pairs[:, 1], rows)), shape=(len(event_latents), len(pairs)))
+    dhp = to_p @ dh
+    dhe = to_e @ dh
+    grads["scorer.w1"] = np.concatenate([patient_latents.T @ dhp, event_latents.T @ dhe])
+    d = patient_latents.shape[1]
+    return dhp @ params.scorer_w1[:d].T, dhe @ params.scorer_w1[d:].T
 
 
 def backward(
@@ -154,10 +160,11 @@ def backward(
 
     Reverse-mode pass specialized to encoder -> L message-passing rounds ->
     scorer. The neighbor-mean adjoint is the transposed mean operator; an
-    incidence product undoes the pair gather in the scorer. Gradients of
-    clamped log terms are zero, matching the piecewise loss exactly.
+    incidence product undoes the scorer's pair gather before the first layer's
+    weights are applied. Gradients of clamped log terms are zero, matching the
+    piecewise loss exactly.
     """
-    loss, trace, pairs, probs, h_pre, u = _forward(
+    loss, trace, pairs, probs, h_pre = _forward(
         params, g_visible, demographics, positives, negatives
     )
     k = len(pairs) // 2
@@ -171,7 +178,7 @@ def backward(
     )
     grads = {}
     d_p, d_e = _scorer_backward(
-        params, pairs, h_pre, u, dlogit, grads, g_visible.num_patients, g_visible.num_events
+        params, pairs, h_pre, dlogit, grads, trace.patient_states[-1], trace.event_states[-1]
     )
 
     ap_t = trace.agg_patient.T

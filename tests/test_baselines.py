@@ -168,8 +168,3 @@ class TestFrequencyBaseline:
         assert grid.shape == (2, 3)
         assert np.allclose(grid[0], [0.5, 0.25, 0.0])
         assert np.array_equal(grid[0], grid[1])
-
-    def test_needs_row_count_for_grid(self):
-        train = _dataset([[0, 0]], 1, 1)
-        with pytest.raises(ValueError, match="num_test_patients"):
-            frequency_baseline(train)

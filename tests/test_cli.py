@@ -230,6 +230,27 @@ class TestPipeline:
         assert "checkpoint" in err and "embedding_dim" in err
         assert not (tmp_path / "export" / "event_embeddings.csv").exists()
 
+    def test_checkpoint_of_other_version_exits_2(self, config_path, tmp_path, capsys):
+        train_dir = tmp_path / "train"
+        main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
+        ckpt = train_dir / "checkpoint.npz"
+        with np.load(ckpt, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["format_version"] = 2
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        for command in ("evaluate", "export-embeddings"):
+            run_dir = tmp_path / command
+            code = main([
+                command, "--config", str(config_path), "--run-dir", str(run_dir),
+                "--checkpoint", str(ckpt),
+            ])
+            assert code == 2, command
+            assert "checkpoint version 2" in capsys.readouterr().err, command
+            assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), command
+
     def test_compare_samplers_writes_bias_tables(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "bias"
         assert main([

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from graphimpute import model
 from graphimpute.dataset import Dataset
 from graphimpute.graph import build
 from graphimpute.model import (
@@ -214,16 +215,16 @@ class TestScorer:
     def test_zero_weights_give_half(self):
         params = init_params(_small_config(), num_events=2, seed=0)
         params.scorer_w1 = np.zeros_like(params.scorer_w1)
-        probs, _, _, _ = score_edges_raw(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
+        probs, _ = score_edges_raw(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
         assert np.allclose(probs, 0.5, atol=1e-15)
 
     def test_large_bias_saturates(self):
         params = init_params(_small_config(), num_events=2, seed=0)
         params.scorer_w1 = np.zeros_like(params.scorer_w1)
         params.scorer_b2 = np.array(30.0)
-        hi, _, _, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
+        hi, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
         params.scorer_b2 = np.array(-30.0)
-        lo, _, _, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
+        lo, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
         assert hi[0] == pytest.approx(1.0, abs=1e-12) and hi[0] < 1.0
         assert lo[0] == pytest.approx(0.0, abs=1e-12) and lo[0] > 0.0
 
@@ -236,24 +237,26 @@ class TestScorer:
         p_lat = np.array([[2.0]])
         e_lat = np.array([[-1.0]])
         # u = [2, -1]; h_pre = [0, -2.5]; h = [0, 0]; logit = -0.5
-        probs, logits, h_pre, u = score_edges_raw(params, p_lat, e_lat, [[0, 0]])
-        assert np.allclose(u, [[2.0, -1.0]])
+        probs, h_pre = score_edges_raw(params, p_lat, e_lat, [[0, 0]])
         assert np.allclose(h_pre, [[0.0, -2.5]])
-        assert logits[0] == pytest.approx(-0.5)
+        assert np.log(probs[0] / (1.0 - probs[0])) == pytest.approx(-0.5)
         assert probs[0] == pytest.approx(1 / (1 + np.exp(0.5)), abs=1e-12)
 
-    def test_grid_matches_pairwise(self):
+    def test_grid_matches_pairwise(self, monkeypatch):
         rng = np.random.default_rng(14)
         params = init_params(_small_config(), num_events=7, seed=15)
         p_lat = rng.normal(size=(9, 4))
         e_lat = rng.normal(size=(7, 4))
-        grid = score_grid(params, p_lat, e_lat, block_size=4)
+        # 9 rows at 4 per block end in a partial block of 1
+        monkeypatch.setattr(model, "GRID_BLOCK_ROWS", 4)
+        grid = score_grid(params, p_lat, e_lat)
         pairs = np.column_stack(
             [np.repeat(np.arange(9), 7), np.tile(np.arange(7), 9)]
         )
-        flat, _, _, _ = score_edges_raw(params, p_lat, e_lat, pairs)
+        flat, _ = score_edges_raw(params, p_lat, e_lat, pairs)
         assert np.allclose(grid.reshape(-1), flat, atol=1e-12)
-        assert np.array_equal(grid, score_grid(params, p_lat, e_lat, block_size=128))
+        monkeypatch.setattr(model, "GRID_BLOCK_ROWS", 128)
+        assert np.array_equal(grid, score_grid(params, p_lat, e_lat))
 
     def test_scores_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(16)

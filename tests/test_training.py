@@ -4,7 +4,7 @@ import pytest
 from graphimpute import training
 from graphimpute.dataset import generate_synthetic
 from graphimpute.graph import build
-from graphimpute.model import ModelConfig, init_params
+from graphimpute.model import ModelConfig, forward_trace, init_params, score_edges_raw
 from graphimpute.training import (
     ADAM_EPS,
     LOG_EPS,
@@ -127,6 +127,54 @@ class TestBackward:
         params.event_embeddings[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite gradient for parameter"):
             backward(params, g, demo, pos, neg)
+
+
+def _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit):
+    """Scorer gradients and latent adjoints through the wide per-pair input
+    u = [P[p], E[e]], scattered back to the nodes with np.add.at."""
+    u = np.concatenate([p_lat[pairs[:, 0]], e_lat[pairs[:, 1]]], axis=1)
+    h_pre = u @ params.scorer_w1 + params.scorer_b1
+    dh = np.outer(dlogit, params.scorer_w2) * (h_pre > 0)
+    du = dh @ params.scorer_w1.T
+    d = p_lat.shape[1]
+    d_p = np.zeros_like(p_lat)
+    d_e = np.zeros_like(e_lat)
+    np.add.at(d_p, pairs[:, 0], du[:, :d])
+    np.add.at(d_e, pairs[:, 1], du[:, d:])
+    grads = {
+        "scorer.w1": u.T @ dh,
+        "scorer.b1": dh.sum(axis=0),
+        "scorer.w2": np.maximum(h_pre, 0.0).T @ dlogit,
+        "scorer.b2": dlogit.sum(),
+    }
+    return grads, d_p, d_e
+
+
+class TestScorerGradients:
+    def test_match_dense_reference(self):
+        rng = np.random.default_rng(21)
+        m, n, k = 12, 6, 40
+        config = ModelConfig(embedding_dim=5, num_layers=2, scorer_hidden=4)
+        params = init_params(config, num_events=n, seed=22)
+        g = build(np.unique(rng.integers(0, [m, n], size=(30, 2)), axis=0), m, n)
+        demo = rng.normal(size=(m, 2))
+        # 2k pairs over 12 x 6 nodes, so every node's pairs repeat
+        pos = rng.integers(0, [m, n], size=(k, 2))
+        neg = rng.integers(0, [m, n], size=(k, 2))
+        _, grads = backward(params, g, demo, pos, neg)
+
+        trace = forward_trace(params, g, demo)
+        p_lat, e_lat = trace.patient_states[-1], trace.event_states[-1]
+        pairs = np.concatenate([pos, neg])
+        probs, h_pre = score_edges_raw(params, p_lat, e_lat, pairs)
+        dlogit = np.concatenate([probs[:k] - 1.0, probs[k:]]) / (2.0 * k)
+        ref, ref_p, ref_e = _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit)
+        d_p, d_e = training._scorer_backward(params, pairs, h_pre, dlogit, {}, p_lat, e_lat)
+        assert np.any(grads["scorer.w1"] != 0.0) and np.any(h_pre <= 0.0)
+        for name, expect in ref.items():
+            np.testing.assert_allclose(grads[name], expect, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(d_p, ref_p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_e, ref_e, rtol=0, atol=1e-12)
 
 
 class TestAdam:
