@@ -1,9 +1,11 @@
 """Reference imputers: k-nearest-neighbor voting over binary patient vectors
 and the train-frequency predictor.
 
-Neighbor search is exact brute force over bit-packed vectors with popcount
-distances; no approximate index. Ties at the k-th distance go to the lower
-train patient index, so results are reproducible.
+Neighbor search is exact brute force. One sparse product of the 0/1 CSR
+matrices gives every query-train intersection count, and both distances
+follow from those counts and the row sizes; no approximate index. Ties at the
+k-th distance go to the lower train patient index, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -11,10 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .dataset import Dataset
+from .dataset import Dataset, indicator_matrix
 
 DISTANCES = ("hamming", "jaccard")
+# Query x train distance cells per block in `knn_impute`; each cell holds a
+# few float64 temporaries. Chosen by timing and peak memory at the benchmark
+# size (~3500 train patients, so 74 query rows per block).
+KNN_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -29,46 +36,31 @@ class KnnConfig:
             raise ValueError(f"unknown distance {self.distance!r}")
 
 
-def binary_rows(pairs: np.ndarray, num_rows: int, num_cols: int) -> np.ndarray:
-    """Dense boolean matrix with True at each (row, col) pair."""
-    out = np.zeros((num_rows, num_cols), dtype=bool)
-    if len(pairs):
-        out[pairs[:, 0], pairs[:, 1]] = True
-    return out
-
-
-def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
-
-
 def nearest_train_patients(
-    train_bits: np.ndarray,
-    query_bits: np.ndarray,
-    k: int,
-    distance: str,
-    block_size: int = 64,
+    train: sp.csr_matrix, query: sp.csr_matrix, k: int, distance: str
 ) -> np.ndarray:
-    """Indices of the k nearest train rows per query row, lower index on ties.
+    """(query rows, train rows) mask of each query's k nearest train rows.
 
-    Inputs are np.packbits-packed binary vectors. Hamming counts differing
-    bits; Jaccard is 1 - |intersection| / |union| with empty-vs-empty at 0.
+    Inputs are 0/1 CSR matrices over the same columns. Hamming counts
+    differing entries; Jaccard is 1 - |intersection| / |union| with
+    empty-vs-empty at 0. The result holds one dense row per query, so callers
+    pass the queries in blocks.
     """
-    t = query_bits.shape[0]
-    out = np.empty((t, k), dtype=np.int64)
-    for start in range(0, t, block_size):
-        stop = min(start + block_size, t)
-        block = query_bits[start:stop, None, :]
-        if distance == "hamming":
-            dist = _popcount_rows(block ^ train_bits[None, :, :]).astype(np.float64)
-        else:
-            inter = _popcount_rows(block & train_bits[None, :, :])
-            union = _popcount_rows(block | train_bits[None, :, :])
-            dist = 1.0 - np.divide(
-                inter, union, out=np.ones_like(inter, dtype=np.float64), where=union > 0
-            )
-        order = np.argsort(dist, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
-    return out
+    inter = (query @ train.T).toarray()
+    size_q = np.diff(query.indptr)[:, None]
+    size_t = np.diff(train.indptr)[None, :]
+    if distance == "hamming":
+        dist = size_q + size_t - 2.0 * inter
+    else:
+        union = size_q + size_t - inter
+        dist = 1.0 - np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    nearest = dist < kth
+    # Fill the remaining places with the lowest-index rows at the k-th distance.
+    ties = dist == kth
+    room = k - nearest.sum(axis=1, keepdims=True)
+    nearest |= ties & (np.cumsum(ties, axis=1) <= room)
+    return nearest
 
 
 def knn_impute(
@@ -87,20 +79,19 @@ def knn_impute(
     m, n = train.num_patients, train.num_events
     if m == 0:
         raise ValueError("empty train set")
-    if cfg.k_neighbors > m:
-        raise ValueError(
-            f"k_neighbors={cfg.k_neighbors} exceeds {m} train patients"
-        )
-    train_bool = binary_rows(train.positives, m, n)
-    query_bool = binary_rows(
-        np.asarray(test_visible, dtype=np.int64).reshape(-1, 2), num_test_patients, n
-    )
-    train_bits = np.packbits(train_bool, axis=1)
-    query_bits = np.packbits(query_bool, axis=1)
-    neighbors = nearest_train_patients(
-        train_bits, query_bits, cfg.k_neighbors, cfg.distance
-    )
-    return train_bool[neighbors].mean(axis=1)
+    k = cfg.k_neighbors
+    if k > m:
+        raise ValueError(f"k_neighbors={k} exceeds {m} train patients")
+    train_matrix = indicator_matrix(train.positives, m, n)
+    query = indicator_matrix(test_visible, num_test_patients, n)
+    out = np.empty((num_test_patients, n))
+    rows = max(1, KNN_BLOCK_CELLS // m)
+    for start in range(0, num_test_patients, rows):
+        stop = min(start + rows, num_test_patients)
+        nearest = nearest_train_patients(train_matrix, query[start:stop], k, cfg.distance)
+        votes = sp.csr_matrix(nearest, dtype=np.float64) @ train_matrix
+        out[start:stop] = votes.toarray() / k
+    return out
 
 
 def frequency_baseline(train: Dataset, num_test_patients: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 # Demographic features per patient: (age_years, sex).
 DEMOGRAPHICS_DIM = 2
@@ -34,6 +35,17 @@ def decode_pairs(codes: np.ndarray, num_events: int) -> np.ndarray:
     pairs[:, 0] = codes // num_events
     pairs[:, 1] = codes % num_events
     return pairs
+
+
+def indicator_matrix(pairs: np.ndarray, num_rows: int, num_cols: int) -> sp.csr_matrix:
+    """0/1 float64 CSR matrix with a one at each (row, col) pair; a repeated
+    pair still gives a one."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    x = sp.csr_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(num_rows, num_cols)
+    )
+    x.data[:] = 1.0
+    return x
 
 
 @dataclass(frozen=True)
@@ -390,12 +402,10 @@ def generate_synthetic(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; by sign this is 1 / (1 + exp(-x)) or
+    # exp(x) / (1 + exp(x)), the same bits as computing each branch apart.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def demographics_stats(demographics: np.ndarray) -> tuple[float, float]:

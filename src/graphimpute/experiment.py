@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .graph import build
 from .model import (
-    CheckpointVersionError,
+    CheckpointError,
     ModelConfig,
     ModelParams,
     encode_patients,
@@ -510,7 +510,7 @@ def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> Mo
     """Checkpoint parameters, refused unless they fit the run's model config and split."""
     try:
         model_cfg, params = load_checkpoint(checkpoint_path)
-    except CheckpointVersionError as exc:
+    except CheckpointError as exc:
         raise ConfigError(f"{checkpoint_path}: {exc}") from None
     if model_cfg != cfg.model:
         fields = [k for k, v in dataclasses.asdict(model_cfg).items() if v != getattr(cfg.model, k)]

@@ -17,14 +17,15 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid
+from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid, indicator_matrix
 from .graph import BipartiteGraph
 
 CHECKPOINT_FORMAT_VERSION = 3
 
 
-class CheckpointVersionError(ValueError):
-    """A checkpoint written in a format version this code does not read."""
+class CheckpointError(ValueError):
+    """A checkpoint this code does not read: an unsupported format version, or
+    an array whose shape does not fit the stored config."""
 
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
@@ -159,10 +160,7 @@ def init_event_embeddings_svd(
     """
     m, n = train.num_patients, train.num_events
     rng = np.random.default_rng(seed)
-    pos = train.positives
-    x = sp.csr_matrix(
-        (np.ones(len(pos)), (pos[:, 0], pos[:, 1])), shape=(m, n), dtype=np.float64
-    )
+    x = indicator_matrix(train.positives, m, n)
 
     k = min(d, m, n)
     width = min(k + 10, n)
@@ -346,32 +344,22 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    """Read a checkpoint; meta keys and arrays this version does not use are ignored."""
+    """Read a checkpoint; meta keys and arrays this version does not use are ignored.
+
+    Each array is copied into the one `init_params` makes for the stored config
+    and event count, and must have its shape, so that none is broadcast later.
+    """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointVersionError(f"unsupported checkpoint version {meta['format_version']}")
+            raise CheckpointError(f"unsupported checkpoint version {meta['format_version']}")
         config = ModelConfig(**meta["config"])
-        get = lambda name: data[f"param/{name}"]
-        layers = [
-            LayerParams(
-                w_self_p=get(f"layers.{i}.w_self_p"),
-                w_nbr_p=get(f"layers.{i}.w_nbr_p"),
-                b_p=get(f"layers.{i}.b_p"),
-                w_self_e=get(f"layers.{i}.w_self_e"),
-                w_nbr_e=get(f"layers.{i}.w_nbr_e"),
-                b_e=get(f"layers.{i}.b_e"),
-            )
-            for i in range(config.num_layers)
-        ]
-        params = ModelParams(
-            event_embeddings=get("event_embeddings"),
-            encoder_weight=get("encoder.weight"),
-            encoder_bias=get("encoder.bias"),
-            layers=layers,
-            scorer_w1=get("scorer.w1"),
-            scorer_b1=get("scorer.b1"),
-            scorer_w2=get("scorer.w2"),
-            scorer_b2=get("scorer.b2"),
-        )
+        params = init_params(config, meta["num_events"], seed=0)
+        for name, tensor in params.named_tensors():
+            stored = data[f"param/{name}"]
+            if stored.shape != tensor.shape:
+                raise CheckpointError(
+                    f"checkpoint array {name} has shape {stored.shape}, expected {tensor.shape}"
+                )
+            tensor[...] = stored
     return config, params

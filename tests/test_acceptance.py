@@ -19,7 +19,7 @@ from conftest import random_bipartite
 from graphimpute import experiment
 from graphimpute import model as model_mod
 from graphimpute import training
-from graphimpute.baselines import KnnConfig, binary_rows, knn_impute, frequency_baseline
+from graphimpute.baselines import KnnConfig, knn_impute, frequency_baseline
 from graphimpute.cli import main as cli_main
 from graphimpute.dataset import (
     Dataset,
@@ -211,6 +211,12 @@ def test_graph_model_beats_baselines_with_balanced_errors(bench_runs, bench_spli
     )
 
 
+def _dense_rows(pairs, num_rows, num_cols):
+    out = np.zeros((num_rows, num_cols), dtype=bool)
+    out[pairs[:, 0], pairs[:, 1]] = True
+    return out
+
+
 def _brute_force_knn(train_bool, query_bool, k, distance):
     m = train_bool.shape[0]
     scores = np.empty((query_bool.shape[0], train_bool.shape[1]))
@@ -237,8 +243,8 @@ def test_knn_matches_brute_force_exactly():
     query_pairs = random_bipartite(rng, t, n, 0.15)
     cfg = KnnConfig()
     got = knn_impute(train, query_pairs, t, cfg)
-    train_bool = binary_rows(train.positives, m, n)
-    query_bool = binary_rows(query_pairs, t, n)
+    train_bool = _dense_rows(train.positives, m, n)
+    query_bool = _dense_rows(query_pairs, t, n)
     expected = _brute_force_knn(train_bool, query_bool, cfg.k_neighbors, cfg.distance)
     same = np.array_equal(got, expected)
     _verdict("acceptance 6 knn oracle", same, f"all {t}x{n} scores identical: {same}")

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphimpute import baselines
 from graphimpute.baselines import (
     KnnConfig,
-    binary_rows,
     frequency_baseline,
     knn_impute,
     nearest_train_patients,
 )
-from graphimpute.dataset import Dataset
+from graphimpute.dataset import Dataset, indicator_matrix
 
 
 def _dataset(pairs, m, n):
@@ -22,9 +22,18 @@ def _dataset(pairs, m, n):
     )
 
 
+def _csr(mask):
+    return indicator_matrix(np.argwhere(mask), *mask.shape)
+
+
+def _nearest(train_bool, query_bool, k, distance):
+    return nearest_train_patients(_csr(train_bool), _csr(query_bool), k, distance)
+
+
 def _brute_force_knn(train_bool, query_bool, k, distance):
+    """Mask of the k smallest (distance, train index) pairs per query row."""
     m = train_bool.shape[0]
-    out = np.empty((query_bool.shape[0], k), dtype=np.int64)
+    out = np.zeros((query_bool.shape[0], m), dtype=bool)
     for qi, q in enumerate(query_bool):
         dists = []
         for ti in range(m):
@@ -37,7 +46,7 @@ def _brute_force_knn(train_bool, query_bool, k, distance):
                 d = 0.0 if union == 0 else 1.0 - inter / union
             dists.append((d, ti))
         dists.sort()
-        out[qi] = [ti for _, ti in dists[:k]]
+        out[qi, [ti for _, ti in dists[:k]]] = True
     return out
 
 
@@ -49,67 +58,40 @@ class TestConfig:
             KnnConfig(distance="cosine")
 
 
-class TestBinaryRows:
-    def test_sets_exact_cells(self):
-        out = binary_rows(np.array([[0, 1], [2, 0]]), 3, 2)
-        assert out.tolist() == [[False, True], [False, False], [True, False]]
-
-    def test_empty_pairs(self):
-        assert not binary_rows(np.empty((0, 2), dtype=np.int64), 2, 2).any()
-
-
 class TestNearestTrainPatients:
     def test_matches_brute_force_exactly(self):
+        # narrow and sparse rows tie often; row 0 of each side is empty, and
+        # the last case has no queries at all
         rng = np.random.default_rng(5)
-        train_bool = rng.random((50, 30)) < 0.2
-        query_bool = rng.random((20, 30)) < 0.2
-        for distance in ("hamming", "jaccard"):
-            got = nearest_train_patients(
-                np.packbits(train_bool, axis=1),
-                np.packbits(query_bool, axis=1),
-                k=7,
-                distance=distance,
-                block_size=8,
-            )
-            expect = _brute_force_knn(train_bool, query_bool, 7, distance)
-            assert np.array_equal(got, expect), distance
+        for m, t, n, density in ((50, 20, 30, 0.2), (12, 4, 1, 0.4), (12, 4, 7, 0.4),
+                                 (12, 4, 9, 0.4), (12, 4, 15, 0.1), (9, 0, 5, 0.3)):
+            train_bool = rng.random((m, n)) < density
+            query_bool = rng.random((t, n)) < density
+            train_bool[0] = False
+            query_bool[:1] = False
+            for distance in ("hamming", "jaccard"):
+                for k in (1, 3, 7, m):
+                    got = _nearest(train_bool, query_bool, k, distance)
+                    expect = _brute_force_knn(train_bool, query_bool, k, distance)
+                    assert np.array_equal(got, expect), (m, t, n, distance, k)
 
     def test_identical_patient_is_nearest(self):
         train_bool = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=bool)
-        query_bool = train_bool[[1]]
-        got = nearest_train_patients(
-            np.packbits(train_bool, axis=1), np.packbits(query_bool, axis=1), 1, "hamming"
-        )
-        assert got[0, 0] == 1
+        got = _nearest(train_bool, train_bool[[1]], 1, "hamming")
+        assert got.tolist() == [[False, True, False]]
 
     def test_ties_resolve_to_lower_index(self):
-        # all-zero query equidistant from two single-bit train rows
+        # all-zero query: row 2 at distance 0, then rows 0 and 1 tie at distance 1
         train_bool = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool)
         query_bool = np.zeros((1, 3), dtype=bool)
-        got = nearest_train_patients(
-            np.packbits(train_bool, axis=1), np.packbits(query_bool, axis=1), 3, "hamming"
-        )
-        assert got[0].tolist() == [2, 0, 1]
+        got = _nearest(train_bool, query_bool, 2, "hamming")
+        assert got.tolist() == [[True, False, True]]
 
     def test_jaccard_empty_vs_empty_is_zero_distance(self):
-        train_bool = np.array([[0, 0, 0], [1, 1, 1]], dtype=bool)
+        train_bool = np.array([[1, 1, 1], [0, 0, 0]], dtype=bool)
         query_bool = np.zeros((1, 3), dtype=bool)
-        got = nearest_train_patients(
-            np.packbits(train_bool, axis=1), np.packbits(query_bool, axis=1), 1, "jaccard"
-        )
-        assert got[0, 0] == 0
-
-    def test_padding_bits_do_not_leak(self):
-        # widths not divisible by 8 exercise the packbits padding
-        rng = np.random.default_rng(9)
-        for n in (1, 7, 9, 15):
-            train_bool = rng.random((12, n)) < 0.4
-            query_bool = rng.random((4, n)) < 0.4
-            got = nearest_train_patients(
-                np.packbits(train_bool, axis=1), np.packbits(query_bool, axis=1), 3, "hamming"
-            )
-            expect = _brute_force_knn(train_bool, query_bool, 3, "hamming")
-            assert np.array_equal(got, expect), n
+        got = _nearest(train_bool, query_bool, 1, "jaccard")
+        assert got.tolist() == [[False, True]]
 
 
 class TestKnnImpute:
@@ -137,6 +119,22 @@ class TestKnnImpute:
         )
         assert np.allclose(grid * 4, np.round(grid * 4), atol=1e-12)
         assert grid.min() >= 0.0 and grid.max() <= 1.0
+
+    def test_grid_does_not_depend_on_block_size(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        mask = rng.random((30, 10)) < 0.2
+        train = _dataset(np.column_stack(np.nonzero(mask)), 30, 10)
+        vis_mask = rng.random((7, 10)) < 0.2
+        visible = np.column_stack(np.nonzero(vis_mask))
+        for distance in ("hamming", "jaccard"):
+            cfg = KnnConfig(k_neighbors=4, distance=distance)
+            nearest = _brute_force_knn(mask, vis_mask, 4, distance)
+            expect = np.array([mask[row].mean(axis=0) for row in nearest])
+            # one row per block, blocks of 2 with a partial last block, one block
+            for cells in (1, 2 * 30, 10**6):
+                monkeypatch.setattr(baselines, "KNN_BLOCK_CELLS", cells)
+                grid = knn_impute(train, visible, 7, cfg)
+                assert np.array_equal(grid, expect), (distance, cells)
 
     def test_empty_train_raises(self):
         train = _dataset(np.empty((0, 2), dtype=np.int64), 0, 3)

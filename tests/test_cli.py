@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphimpute
 from graphimpute.cli import main
 from graphimpute.dataset import load_triplets
 
@@ -96,6 +100,20 @@ class TestArgumentHandling:
         code = main(["train", "--config", str(path), "--run-dir", str(tmp_path / "run")])
         assert code == 2
         assert "top-level" in capsys.readouterr().err
+
+    def test_importing_cli_loads_no_numerics(self):
+        # the thread flags set environment variables, which take effect only
+        # if numpy and scipy load after the arguments are parsed
+        src = str(Path(graphimpute.__file__).resolve().parent.parent)
+        code = (
+            "import sys, graphimpute.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestPipeline:
@@ -250,6 +268,26 @@ class TestPipeline:
             assert code == 2, command
             assert "checkpoint version 2" in capsys.readouterr().err, command
             assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), command
+
+    def test_checkpoint_array_of_wrong_shape_exits_2(self, config_path, tmp_path, capsys):
+        # each of these shapes broadcasts in the forward pass without an error
+        train_dir = tmp_path / "train"
+        main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
+        with np.load(train_dir / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        capsys.readouterr()
+        for name, shape in (("layers.0.b_p", (1,)), ("encoder.bias", (1,)), ("scorer.b2", (1, 1))):
+            ckpt = tmp_path / f"{name}.npz"
+            np.savez(ckpt, **{**arrays, f"param/{name}": np.zeros(shape)})
+            for command in ("evaluate", "export-embeddings"):
+                run_dir = tmp_path / f"{command}-{name}"
+                code = main([
+                    command, "--config", str(config_path), "--run-dir", str(run_dir),
+                    "--checkpoint", str(ckpt),
+                ])
+                assert code == 2, (command, name)
+                assert f"checkpoint array {name} has shape {shape}" in capsys.readouterr().err
+                assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), (command, name)
 
     def test_compare_samplers_writes_bias_tables(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "bias"

@@ -12,6 +12,7 @@ from graphimpute.dataset import (
     demographics_stats,
     filter_rare_events,
     generate_synthetic,
+    indicator_matrix,
     load_triplets,
     split,
     standardize_demographics,
@@ -52,6 +53,43 @@ def test_event_counts_and_frequencies():
     assert np.allclose(d.event_frequencies(), [0.5, 0.0, 0.25])
     assert d.patient_degrees().tolist() == [1, 1, 1, 0]
 
+
+
+class TestIndicatorMatrix:
+    def test_sets_exact_cells(self):
+        # the repeated pair still gives a one
+        out = indicator_matrix(np.array([[0, 1], [2, 0], [0, 1]]), 3, 2)
+        assert out.dtype == np.float64
+        assert out.toarray().tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+        assert out.nnz == 2
+
+    def test_empty_pairs(self):
+        out = indicator_matrix(np.empty((0, 2), dtype=np.int64), 2, 2)
+        assert out.shape == (2, 2) and out.nnz == 0
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    extremes = np.array(
+        [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 36.7, -36.7, 709.8, -745.2,
+         5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max]
+    )
+    x = np.concatenate([extremes, rng.normal(scale=4.0, size=5000),
+                        rng.uniform(-750.0, 750.0, size=5000)])
+    got = ds_mod._sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), _two_branch_sigmoid(x).view(np.uint64))
+    grid = x[:4800].reshape(16, 300)
+    assert np.array_equal(ds_mod._sigmoid(grid), _two_branch_sigmoid(grid))
+    assert np.isnan(ds_mod._sigmoid(np.array([np.nan]))).all()
 
 class TestLoadTriplets:
     def test_duplicate_collapse_and_reindexing(self, tmp_path):
