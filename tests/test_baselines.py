@@ -93,6 +93,23 @@ class TestNearestTrainPatients:
         got = _nearest(train_bool, query_bool, 1, "jaccard")
         assert got.tolist() == [[False, True]]
 
+    def test_padding_bits_do_not_leak(self):
+        # widths not divisible by 8, given as is and padded with empty event
+        # columns up to the next byte: the padding must not move a neighbour
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 9, 15):
+            train_bool = rng.random((12, n)) < 0.4
+            query_bool = rng.random((4, n)) < 0.4
+            padded = -(-n // 8) * 8
+            train_padded = indicator_matrix(np.argwhere(train_bool), 12, padded)
+            query_padded = indicator_matrix(np.argwhere(query_bool), 4, padded)
+            for distance in ("hamming", "jaccard"):
+                expect = _brute_force_knn(train_bool, query_bool, 3, distance)
+                got = _nearest(train_bool, query_bool, 3, distance)
+                assert np.array_equal(got, expect), (n, distance)
+                got = nearest_train_patients(train_padded, query_padded, 3, distance)
+                assert np.array_equal(got, expect), (n, distance)
+
 
 class TestKnnImpute:
     def test_identical_patient_k1_reproduces_profile(self):
