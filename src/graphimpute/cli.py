@@ -14,8 +14,8 @@ import sys
 import time
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    p.add_argument("--config", required=needs_config, help="path to the JSON run config")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--run-dir", default=None, help="output directory (default: <output_dir>/<command>-<timestamp>-seed<seed>)")
     p.add_argument("--seed", type=int, default=None, help="override the top-level seed")
     p.add_argument("--workers", type=int, default=None, help="cap numeric thread count (default: all cores)")
@@ -93,20 +93,14 @@ def _overrides(args) -> dict:
     return out
 
 
-def _resolve_run_dir(args, cfg, command: str):
+def _resolve_run_dir(args, cfg):
     if args.run_dir is not None:
         return args.run_dir
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return os.path.join(cfg.output_dir, f"{command}-{stamp}-seed{cfg.seed}")
+    return os.path.join(cfg.output_dir, f"{args.command}-{stamp}-seed{cfg.seed}")
 
 
-def _load(args, exp):
-    return exp.load_config(args.config, _overrides(args))
-
-
-def _cmd_generate(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "generate")
+def _cmd_generate(args, exp, cfg, run_dir) -> int:
     result = exp.run_generate(cfg, run_dir)
     ds = result["dataset"]
     print(f"generated {ds.num_patients} patients x {ds.num_events} events, "
@@ -116,9 +110,7 @@ def _cmd_generate(args, exp) -> int:
     return 0
 
 
-def _cmd_split(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "split")
+def _cmd_split(args, exp, cfg, run_dir) -> int:
     sd = exp.run_split(cfg, run_dir)
     print(
         f"train {sd.train.num_patients} patients / test {sd.test_visible.num_patients}; "
@@ -127,10 +119,7 @@ def _cmd_split(args, exp) -> int:
     return 0
 
 
-def _cmd_train(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "train")
-
+def _cmd_train(args, exp, cfg, run_dir) -> int:
     def log(row):
         if row["epoch"] % 10 == 0 or row["epoch"] == cfg.train.epochs - 1:
             print(f"epoch {row['epoch']:4d}  loss {row['loss']:.6f}", flush=True)
@@ -141,9 +130,7 @@ def _cmd_train(args, exp) -> int:
     return 0
 
 
-def _cmd_evaluate(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "evaluate")
+def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
     if args.cutoff is not None or args.policy == "fixed":
         policies = ("fixed",)
     elif args.policy == "train_frequency":
@@ -165,9 +152,7 @@ def _cmd_evaluate(args, exp) -> int:
     return 0
 
 
-def _cmd_compare_samplers(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "compare-samplers")
+def _cmd_compare_samplers(args, exp, cfg, run_dir) -> int:
     result = exp.run_compare_samplers(cfg, run_dir)
     profile = result["profile"]
     print(f"spearman(frequency, recall) uniform:           {profile.spearman_v1:.4f}")
@@ -176,9 +161,7 @@ def _cmd_compare_samplers(args, exp) -> int:
     return 0
 
 
-def _cmd_export(args, exp) -> int:
-    cfg = _load(args, exp)
-    run_dir = _resolve_run_dir(args, cfg, "export-embeddings")
+def _cmd_export(args, exp, cfg, run_dir) -> int:
     exp.run_export_embeddings(cfg, run_dir, args.checkpoint)
     print(f"embeddings and neighbor lists in {run_dir}")
     return 0
@@ -193,7 +176,8 @@ def main(argv=None) -> int:
     from . import experiment as exp
 
     try:
-        return args.func(args, exp)
+        cfg = exp.load_config(args.config, _overrides(args))
+        return args.func(args, exp, cfg, _resolve_run_dir(args, cfg))
     except exp.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

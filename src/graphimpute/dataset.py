@@ -8,6 +8,8 @@ demographics. Zeros are unreliable: an absent pair means "never measured", not
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +30,15 @@ def encode_pairs(pairs: np.ndarray, num_events: int) -> np.ndarray:
     if len(pairs) == 0:
         return np.empty(0, dtype=np.int64)
     return pairs[:, 0] * np.int64(num_events) + pairs[:, 1]
+
+
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of an integer code array. One sort; numpy 2.4's
+    ``np.unique`` hashes before it sorts and took ~20x as long on 7k codes."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def decode_pairs(codes: np.ndarray, num_events: int) -> np.ndarray:
@@ -74,7 +85,7 @@ class Dataset:
                 raise ValueError("patient index out of range")
             if pos[:, 1].min() < 0 or pos[:, 1].max() >= self.num_events:
                 raise ValueError("event index out of range")
-        pos = decode_pairs(np.unique(encode_pairs(pos, self.num_events)), self.num_events)
+        pos = decode_pairs(unique_codes(encode_pairs(pos, self.num_events)), self.num_events)
         object.__setattr__(self, "positives", pos)
         demo = np.asarray(self.demographics, dtype=np.float64)
         object.__setattr__(self, "demographics", demo)
@@ -142,6 +153,16 @@ class SplitDataset:
     event_index_map: np.ndarray
     train_patient_indices: np.ndarray
     test_patient_indices: np.ndarray
+
+    def train_sha256(self) -> str:
+        """Hex sha256 of what training sees: the train patients' cohort indices,
+        ``event_index_map`` and the train positives."""
+        h = hashlib.sha256()
+        for a in (self.train_patient_indices, self.event_index_map, self.train.positives):
+            a = np.ascontiguousarray(a, dtype=np.int64)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
 
 
 def _round_half_up(x: float) -> int:
@@ -441,25 +462,43 @@ def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_table(path, columns: dict) -> None:
+    """Write a CSV file whose header is the keys of ``columns`` and whose
+    columns are its values, which must all have one length. A numpy column
+    is read through ``tolist``. Python floats are written as ``.10g`` (NaN as
+    ``nan``); every other value with ``str``.
+    """
+    cells = [
+        [f"{v:.10g}" if isinstance(v, float) else str(v) for v in column]
+        for column in (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_pairs(
     path, pairs: np.ndarray, patient_labels: list[str], event_labels: list[str]
 ) -> None:
     """Write (patient, event) index pairs as labelled ``patient_id,event_id`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIPLET_HEADER)
-        writer.writerows((patient_labels[i], event_labels[j]) for i, j in pairs.tolist())
+    patients, events = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.tolist()
+    columns = ([patient_labels[i] for i in patients], [event_labels[j] for j in events])
+    write_table(path, dict(zip(TRIPLET_HEADER, columns)))
 
 
 def write_dataset(d: Dataset, triplets_path, demographics_path) -> None:
     """Write a labelled dataset in the two files load_triplets reads."""
     if d.patient_labels is None or d.event_labels is None:
         raise ValueError("writing a dataset needs patient and event labels")
-    with open(demographics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEMOGRAPHICS_HEADER)
-        writer.writerows(
-            (pid, f"{age:.10g}", int(sex))
-            for pid, (age, sex) in zip(d.patient_labels, d.demographics.tolist())
-        )
+    age, sex = d.demographics.T
+    columns = (d.patient_labels, age, sex.astype(np.int64))
+    write_table(demographics_path, dict(zip(DEMOGRAPHICS_HEADER, columns)))
     write_pairs(triplets_path, d.positives, d.patient_labels, d.event_labels)

@@ -10,13 +10,14 @@ rather than counted as zero.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
+
+from .dataset import encode_pairs, unique_codes, write_json, write_table
+from .graph import in_sorted
 
 CUTOFF_POLICIES = ("fixed", "train_frequency")
 
@@ -94,22 +95,18 @@ def evaluate(
         ):
             raise ValueError(f"{label} pairs out of range for the score grid")
 
-    if cutoff_policy == "fixed":
-        cutoff = np.full(n, fixed_cutoff)
-    else:
-        cutoff = train_frequencies
-    predicted = scores > cutoff[None, :]
-
-    held_mask = np.zeros((t, n), dtype=bool)
-    held_mask[heldout[:, 0], heldout[:, 1]] = True
-    measured = held_mask.copy()
-    measured[visible[:, 0], visible[:, 1]] = True
-    unmeasured = ~measured
-
-    tp = np.count_nonzero(predicted & held_mask, axis=0).astype(np.int64)
-    fn = np.count_nonzero(~predicted & held_mask, axis=0).astype(np.int64)
-    fp = np.count_nonzero(predicted & unmeasured, axis=0).astype(np.int64)
-    tn = np.count_nonzero(~predicted & unmeasured, axis=0).astype(np.int64)
+    cutoff = fixed_cutoff if cutoff_policy == "fixed" else train_frequencies
+    predicted = scores > cutoff
+    flat = predicted.ravel()
+    # Cells as flat codes i * n + j; a pair in both lists counts as held out.
+    held = unique_codes(encode_pairs(heldout, n))
+    seen = unique_codes(encode_pairs(visible, n))
+    seen = seen[~in_sorted(held, seen)]
+    hit = flat[held]
+    tp = np.bincount(held[hit] % n, minlength=n)
+    fn = np.bincount(held[~hit] % n, minlength=n)
+    fp = predicted.sum(axis=0) - tp - np.bincount(seen[flat[seen]] % n, minlength=n)
+    tn = t - np.bincount(seen % n, minlength=n) - (tp + fn + fp)
 
     sens = _metric_ratio(tp.astype(np.float64), (tp + fn).astype(np.float64))
     spec = _metric_ratio(tn.astype(np.float64), (tn + fp).astype(np.float64))
@@ -214,69 +211,28 @@ def bias_profile(
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+_PER_EVENT_COLUMNS = ("tp", "fn", "tn", "fp", "sensitivity", "specificity", "balanced_accuracy")
+_BIAS_COLUMNS = (
+    "bin", "freq_lo", "freq_hi", "num_events",
+    "recall_v1", "recall_v2", "specificity_v1", "specificity_v2",
+)
 
 
 def write_per_event_csv(report: MetricsReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "event",
-                "train_frequency",
-                "tp",
-                "fn",
-                "tn",
-                "fp",
-                "sensitivity",
-                "specificity",
-                "balanced_accuracy",
-            ]
-        )
-        for j in range(report.num_events):
-            writer.writerow(
-                [
-                    j,
-                    _fmt(float(report.train_frequencies[j])),
-                    int(report.tp[j]),
-                    int(report.fn[j]),
-                    int(report.tn[j]),
-                    int(report.fp[j]),
-                    _fmt(float(report.sensitivity[j])),
-                    _fmt(float(report.specificity[j])),
-                    _fmt(float(report.balanced_accuracy[j])),
-                ]
-            )
+    columns = {"event": range(report.num_events), "train_frequency": report.train_frequencies}
+    columns.update((name, getattr(report, name)) for name in _PER_EVENT_COLUMNS)
+    write_table(path, columns)
 
 
 def write_summary_json(report: MetricsReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.summary())
 
 
 def write_bias_csv(profile: BiasProfile, path) -> None:
-    fields = [
-        "bin",
-        "freq_lo",
-        "freq_hi",
-        "num_events",
-        "recall_v1",
-        "recall_v2",
-        "specificity_v1",
-        "specificity_v2",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields + ["spearman_v1", "spearman_v2"])
-        for row in profile.rows:
-            writer.writerow(
-                [_fmt(row[f]) for f in fields]
-                + [_fmt(profile.spearman_v1), _fmt(profile.spearman_v2)]
-            )
+    columns = {name: [row[name] for row in profile.rows] for name in _BIAS_COLUMNS}
+    columns["spearman_v1"] = [profile.spearman_v1] * len(profile.rows)
+    columns["spearman_v2"] = [profile.spearman_v2] * len(profile.rows)
+    write_table(path, columns)
 
 
 def cosine_neighbors(embeddings: np.ndarray, top_k: int = 10) -> tuple[np.ndarray, np.ndarray]:
@@ -307,19 +263,17 @@ def export_event_embeddings(
     n, d = embeddings.shape
     labels = event_labels if event_labels is not None else [str(j) for j in range(n)]
     categories = event_categories if event_categories is not None else [""] * n
-    with open(embeddings_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event", "category"] + [f"dim_{i}" for i in range(d)])
-        for j in range(n):
-            writer.writerow(
-                [labels[j], categories[j]] + [_fmt(float(x)) for x in embeddings[j]]
-            )
+    columns = {"event": labels, "category": categories}
+    columns.update((f"dim_{i}", embeddings[:, i]) for i in range(d))
+    write_table(embeddings_path, columns)
     idx, sims = cosine_neighbors(embeddings, top_k)
-    with open(neighbors_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event", "rank", "neighbor", "cosine_similarity"])
-        for j in range(n):
-            for r in range(idx.shape[1]):
-                writer.writerow(
-                    [labels[j], r + 1, labels[idx[j, r]], _fmt(float(sims[j, r]))]
-                )
+    k = idx.shape[1]
+    write_table(
+        neighbors_path,
+        {
+            "event": [label for label in labels for _ in range(k)],
+            "rank": list(range(1, k + 1)) * n,
+            "neighbor": [labels[i] for i in idx.ravel().tolist()],
+            "cosine_similarity": sims.ravel(),
+        },
+    )

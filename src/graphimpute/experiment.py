@@ -9,7 +9,6 @@ outputs into a run directory and echo the resolved config in a manifest.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import time
@@ -30,8 +29,10 @@ from .dataset import (
     split,
     standardize_demographics,
     write_dataset,
+    write_json,
     write_pairs,
     write_split_manifest,
+    write_table,
 )
 from .baselines import KnnConfig
 from .evaluation import (
@@ -307,31 +308,18 @@ def evaluate_grid(
 
 
 def write_training_log(state: TrainState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "loss", "hidden_edges", "relaxed", "event_marginal_l1_gap", "wall_seconds"]
-        )
-        for row in state.epoch_stats:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    f"{row['loss']:.10g}",
-                    row["hidden_edges"],
-                    int(row["relaxed"]),
-                    row["event_marginal_l1_gap"],
-                    f"{row['wall_seconds']:.6f}",
-                ]
-            )
+    rows = state.epoch_stats
+    columns = {
+        name: [row[name] for row in rows]
+        for name in ("epoch", "loss", "hidden_edges", "relaxed", "event_marginal_l1_gap")
+    }
+    columns["relaxed"] = [int(relaxed) for relaxed in columns["relaxed"]]
+    columns["wall_seconds"] = [f"{row['wall_seconds']:.6f}" for row in rows]
+    write_table(path, columns)
 
 
 def write_manifest(path, command: str, cfg: RunConfig, extra: dict | None = None) -> None:
-    payload = {"command": command, "config": config_to_dict(cfg)}
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"command": command, "config": config_to_dict(cfg), **(extra or {})})
 
 
 def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDataset]:
@@ -341,7 +329,7 @@ def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDatas
     ds = prepare_dataset(cfg)
     sd = prepare_split(cfg, ds)
     state = fit(sd.train, cfg.model, cfg.train, log=log)
-    save_checkpoint(run_dir / "checkpoint.npz", cfg.model, state.params)
+    save_checkpoint(run_dir / "checkpoint.npz", cfg.model, state.params, sd.train_sha256())
     write_training_log(state, run_dir / "training_log.csv")
     write_split_manifest(run_dir / "split_manifest.txt", cfg.split, sd)
     write_manifest(
@@ -449,17 +437,13 @@ def run_compare_samplers(cfg: RunConfig, run_dir, log=None) -> dict:
         write_summary_json(report, run_dir / f"sampler_{version}_summary.json")
     profile = bias_profile(reports["v1"], reports["v2"])
     write_bias_csv(profile, run_dir / "bias_profile.csv")
-    with open(run_dir / "bias_summary.json", "w") as fh:
-        json.dump(
-            {
-                "spearman_recall_frequency_v1": profile.spearman_v1,
-                "spearman_recall_frequency_v2": profile.spearman_v2,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        run_dir / "bias_summary.json",
+        {
+            "spearman_recall_frequency_v1": profile.spearman_v1,
+            "spearman_recall_frequency_v2": profile.spearman_v2,
+        },
+    )
     write_manifest(run_dir / "manifest.json", "compare-samplers", cfg)
     return {"profile": profile, "v1": reports["v1"], "v2": reports["v2"]}
 
@@ -507,9 +491,10 @@ def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
 
 
 def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> ModelParams:
-    """Checkpoint parameters, refused unless they fit the run's model config and split."""
+    """Checkpoint parameters, refused unless they fit the run's model config and
+    were trained on the run's train split."""
     try:
-        model_cfg, params = load_checkpoint(checkpoint_path)
+        model_cfg, params, split_sha256 = load_checkpoint(checkpoint_path)
     except CheckpointError as exc:
         raise ConfigError(f"{checkpoint_path}: {exc}") from None
     if model_cfg != cfg.model:
@@ -518,6 +503,11 @@ def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> Mo
     if params.num_events() != sd.train.num_events:
         raise ConfigError(
             f"checkpoint has {params.num_events()} events but split has {sd.train.num_events}"
+        )
+    run_split = sd.train_sha256()
+    if split_sha256 != run_split:
+        raise ConfigError(
+            f"checkpoint was trained on split {split_sha256}, not on this run's split {run_split}"
         )
     return params
 

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid, indicator_matrix
 from .graph import BipartiteGraph
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -282,13 +282,15 @@ def message_pass(
 def _first_layer_halves(
     params: ModelParams, patient_latents: np.ndarray, event_latents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The scorer's first layer split by input side: (P @ w1[:d], E @ w1[d:]).
+    """The scorer's first layer split by input side: (P @ w1[:d], E @ w1[d:] + b1).
 
-    On a pair (i, j) the hidden pre-activation is left[i] + right[j] + b1, so
-    both scorer paths multiply each node once, not once per pair or cell.
+    On a pair (i, j) the hidden pre-activation is left[i] + right[j], so both
+    scorer paths multiply each node once, not once per pair or cell, and add
+    the bias once per event.
     """
     d = event_latents.shape[1]
-    return patient_latents @ params.scorer_w1[:d], event_latents @ params.scorer_w1[d:]
+    left = patient_latents @ params.scorer_w1[:d]
+    return left, event_latents @ params.scorer_w1[d:] + params.scorer_b1
 
 
 def score_edges_raw(
@@ -303,7 +305,7 @@ def score_edges_raw(
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     left, right = _first_layer_halves(params, patient_latents, event_latents)
-    h_pre = left[pairs[:, 0]] + right[pairs[:, 1]] + params.scorer_b1
+    h_pre = left[pairs[:, 0]] + right[pairs[:, 1]]
     h = np.maximum(h_pre, 0.0)
     return _sigmoid(h @ params.scorer_w2 + params.scorer_b2), h_pre
 
@@ -326,25 +328,27 @@ def score_grid(
         stop = min(start + GRID_BLOCK_ROWS, t)
         h = buf[: stop - start]
         np.add(left[start:stop, None, :], right[None, :, :], out=h)
-        h += params.scorer_b1
         np.maximum(h, 0.0, out=h)
         out[start:stop] = _sigmoid(h @ params.scorer_w2 + params.scorer_b2)
-    return np.clip(out, PROB_EPS, 1.0 - PROB_EPS)
+    return np.clip(out, PROB_EPS, 1.0 - PROB_EPS, out=out)
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams) -> None:
-    """Write a versioned checkpoint that round-trips bit-exactly."""
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, split_sha256: str) -> None:
+    """Write a versioned checkpoint that round-trips bit-exactly, with the
+    fingerprint of the split it was trained on."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(config),
         "num_events": params.num_events(),
+        "split_sha256": split_sha256,
     }
     arrays = {f"param/{name}": tensor for name, tensor in params.named_tensors()}
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    """Read a checkpoint; meta keys and arrays this version does not use are ignored.
+def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
+    """Read a checkpoint: its config, parameters and split fingerprint. Meta
+    keys and arrays this version does not use are ignored.
 
     Each array is copied into the one `init_params` makes for the stored config
     and event count, and must have its shape, so that none is broadcast later.
@@ -362,4 +366,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
                     f"checkpoint array {name} has shape {stored.shape}, expected {tensor.shape}"
                 )
             tensor[...] = stored
-    return config, params
+    return config, params, meta["split_sha256"]

@@ -146,26 +146,18 @@ def sample_negative_degree_preserving(
 
 
 def sample_negative_uniform(g_full: BipartiteGraph, k: int, seed) -> np.ndarray:
-    """k distinct non-edges drawn uniformly; the bias-comparison baseline."""
+    """k distinct non-edges drawn uniformly; the bias-comparison baseline.
+
+    Draws k distinct ranks among the non-edges and maps rank r to its cell
+    code: r plus the number of edges whose count of non-edges before them
+    (code minus position in the sorted edge codes) is at most r.
+    """
     m, n = g_full.num_patients, g_full.num_events
     total = m * n - g_full.edge_count
     if k > total:
         raise ValueError(f"requested {k} negatives but only {total} non-edges exist")
-    if k == 0:
-        return np.empty((0, 2), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    edge_codes = g_full.edge_codes()
-
-    if k > 0.25 * total:
-        complement = np.setdiff1d(np.arange(m * n, dtype=np.int64), edge_codes, assume_unique=True)
-        picks = rng.choice(len(complement), size=k, replace=False)
-        return decode_pairs(np.sort(complement[picks]), n)
-
-    out = np.empty(0, dtype=np.int64)
-    while len(out) < k:
-        draws = rng.integers(0, m * n, size=2 * (k - len(out)) + 16, dtype=np.int64)
-        fresh = draws[~in_sorted(edge_codes, draws)]
-        fresh = fresh[np.sort(np.unique(fresh, return_index=True)[1])]
-        fresh = fresh[~np.isin(fresh, out)]
-        out = np.concatenate([out, fresh[: k - len(out)]])
-    return decode_pairs(np.sort(out), n)
+    ranks = np.sort(rng.choice(total, size=k, replace=False))
+    codes = g_full.edge_codes()
+    nonedges_before = codes - np.arange(len(codes))
+    return decode_pairs(ranks + np.searchsorted(nonedges_before, ranks, side="right"), n)

@@ -289,6 +289,36 @@ class TestPipeline:
                 assert f"checkpoint array {name} has shape {shape}" in capsys.readouterr().err
                 assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), (command, name)
 
+    def test_checkpoint_of_other_split_exits_2(self, config_path, tmp_path, capsys):
+        # on file data the seed changes only the split: at seed 8, most of the
+        # test patients were training patients at seed 7
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(config_path), "--run-dir", str(gen)]) == 0
+        cfg = json.loads(config_path.read_text())
+        cfg["data"] = {
+            "triplets": str(gen / "triplets.csv"),
+            "demographics": str(gen / "demographics.csv"),
+        }
+        files = tmp_path / "files.json"
+        files.write_text(json.dumps(cfg))
+        train_dir = tmp_path / "train"
+        assert main(["train", "--config", str(files), "--run-dir", str(train_dir)]) == 0
+        ckpt = str(train_dir / "checkpoint.npz")
+        capsys.readouterr()
+        for command in ("evaluate", "export-embeddings"):
+            run_dir = tmp_path / command
+            code = main([
+                command, "--config", str(files), "--run-dir", str(run_dir),
+                "--checkpoint", ckpt, "--seed", "8",
+            ])
+            assert code == 2, command
+            assert "checkpoint was trained on split" in capsys.readouterr().err, command
+            assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), command
+            assert main([
+                command, "--config", str(files), "--run-dir", str(run_dir),
+                "--checkpoint", ckpt,
+            ]) == 0, command
+
     def test_compare_samplers_writes_bias_tables(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "bias"
         assert main([

@@ -17,6 +17,8 @@ from graphimpute.dataset import (
     split,
     standardize_demographics,
     write_dataset,
+    write_json,
+    write_table,
 )
 
 
@@ -142,6 +144,30 @@ class TestLoadTriplets:
         assert np.allclose(back.demographics, d.demographics, rtol=1e-9, atol=0)
         with pytest.raises(ValueError, match="labels"):
             write_dataset(Dataset(2, 2, [], np.zeros((2, 2))), tmp_path / "t.csv", tmp_path / "d.csv")
+
+    def test_write_table_cell_formats(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(
+            path,
+            {
+                "label": ["a,b", "c"],
+                "count": [np.int64(3), 4],
+                "value": [1 / 3, float("nan")],
+                "numpy_float": list(np.array([0.1, 2.0])),
+                "preformatted": ["0.500000", "x"],
+            },
+        )
+        assert path.read_bytes().decode() == (
+            "label,count,value,numpy_float,preformatted\r\n"
+            '"a,b",3,0.3333333333,0.1,0.500000\r\n'
+            "c,4,nan,2,x\r\n"
+        )
+        with pytest.raises(ValueError):
+            write_table(path, {"a": [1, 2], "b": [1]})
+
+    def test_write_json_sorted_with_final_newline(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]})
+        assert (tmp_path / "a.json").read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
 
     def test_bad_sex_value(self, tmp_path):
         _write(tmp_path / "t.csv", "")

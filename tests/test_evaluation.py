@@ -31,6 +31,26 @@ def _three_patient_instance():
     return scores, visible, heldout, freqs
 
 
+def _dense_counts(scores, visible, heldout, cutoff):
+    """(tp, fn, tn, fp) per event from dense t x n masks; the reference count."""
+    t, n = scores.shape
+    predicted = scores > cutoff
+    held_mask = np.zeros((t, n), dtype=bool)
+    held_mask[heldout[:, 0], heldout[:, 1]] = True
+    measured = held_mask.copy()
+    measured[visible[:, 0], visible[:, 1]] = True
+    unmeasured = ~measured
+    return tuple(
+        np.count_nonzero(mask, axis=0)
+        for mask in (
+            predicted & held_mask,
+            ~predicted & held_mask,
+            ~predicted & unmeasured,
+            predicted & unmeasured,
+        )
+    )
+
+
 class TestEvaluate:
     def test_three_patient_worked_example(self):
         scores, visible, heldout, freqs = _three_patient_instance()
@@ -114,6 +134,42 @@ class TestEvaluate:
         assert s["balanced_accuracy"]["mean"] == pytest.approx(defined.mean())
         assert s["balanced_accuracy"]["std"] == pytest.approx(defined.std())
         assert s["balanced_accuracy"]["events_defined"] == len(defined)
+
+    def test_counts_match_dense_masks(self):
+        rng = np.random.default_rng(21)
+        shapes = [(1, 1), (1, 6), (7, 1), (1, 1), (9, 5), (30, 12), (4, 4)]
+        for trial in range(60):
+            t, n = shapes[trial % len(shapes)]
+            scores = rng.random((t, n))
+            scores[rng.random((t, n)) < 0.2] = 0.5  # ties at the fixed cutoff
+            freqs = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+
+            def pairs(count):
+                return np.column_stack([rng.integers(0, t, count), rng.integers(0, n, count)])
+
+            # repeats within a list, and overlap between the lists
+            heldout = pairs(int(rng.integers(0, 2 * t * n + 1)))
+            visible = pairs(int(rng.integers(0, 2 * t * n + 1)))
+            if len(heldout) and trial % 3 == 0:
+                visible = np.vstack([visible, heldout[: len(heldout) // 2 + 1]])
+            for policy, cutoff in (("fixed", 0.5), ("train_frequency", freqs)):
+                report = evaluate(scores, visible, heldout, freqs, cutoff_policy=policy)
+                want = _dense_counts(scores, visible, heldout, cutoff)
+                got = (report.tp, report.fn, report.tn, report.fp)
+                for name, a, b in zip(("tp", "fn", "tn", "fp"), got, want):
+                    assert np.array_equal(a, b), (trial, policy, name)
+
+    def test_counts_with_empty_pair_lists(self):
+        rng = np.random.default_rng(22)
+        scores = rng.random((5, 3))
+        empty = np.empty((0, 2), dtype=np.int64)
+        for visible, heldout in ((empty, empty), (np.array([[1, 2], [1, 2]]), empty)):
+            report = evaluate(scores, visible, heldout, np.full(3, 0.5))
+            want = _dense_counts(scores, visible, heldout, 0.5)
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip((report.tp, report.fn, report.tn, report.fp), want)
+            )
 
     @given(st.floats(0.05, 0.95))
     @settings(max_examples=20, deadline=None)

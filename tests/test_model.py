@@ -393,9 +393,9 @@ class TestCheckpoint:
         config = _small_config(num_layers=3)
         params = init_params(config, num_events=6, seed=40)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, config, params)
-        config2, params2 = load_checkpoint(path)
-        assert config2 == config
+        save_checkpoint(path, config, params, "split")
+        config2, params2, split = load_checkpoint(path)
+        assert config2 == config and split == "split"
         orig = dict(params.named_tensors())
         for name, tensor in params2.named_tensors():
             assert np.array_equal(tensor, orig[name]), name
@@ -409,7 +409,7 @@ class TestCheckpoint:
         config = _small_config()
         params = init_params(config, num_events=3, seed=42)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, config, params)
+        save_checkpoint(path, config, params, "split")
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["meta"]))
@@ -417,7 +417,7 @@ class TestCheckpoint:
         arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
         arrays["extra/loss_history"] = np.array([0.7, 0.6])
         np.savez(path, **arrays)
-        config2, params2 = load_checkpoint(path)
+        config2, params2, _ = load_checkpoint(path)
         assert config2 == config
         orig = dict(params.named_tensors())
         for name, tensor in params2.named_tensors():
@@ -429,13 +429,15 @@ class TestCheckpoint:
         config = _small_config()
         params = init_params(config, num_events=3, seed=41)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, config, params)
+        save_checkpoint(path, config, params, "split")
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["meta"]))
         # 999 is unknown; 1 is the format whose model config had layer_bias,
-        # 2 the one whose model config had demographics_dim
-        for version, extra in ((999, {}), (1, {"layer_bias": True}), (2, {"demographics_dim": 2})):
+        # 2 the one whose model config had demographics_dim, 3 the one without
+        # a split fingerprint
+        versions = ((999, {}), (1, {"layer_bias": True}), (2, {"demographics_dim": 2}), (3, {}))
+        for version, extra in versions:
             meta["format_version"] = version
             meta["config"].update(extra)
             arrays["meta"] = np.array(json.dumps(meta))

@@ -138,6 +138,15 @@ class TestUniform:
         neg = sample_negative_uniform(g, 2, seed=3)
         assert sorted(map(tuple, neg.tolist())) == [(0, 1), (1, 0)]
 
+    def test_all_non_edges_at_k_equal_to_their_count(self):
+        rng = np.random.default_rng(31)
+        for seed in range(100):
+            m, n = (int(x) for x in rng.integers(1, 9, size=2))
+            cells = rng.random((m, n)) < rng.random()
+            g = build(np.argwhere(cells), m, n)
+            neg = sample_negative_uniform(g, int((~cells).sum()), seed=seed)
+            assert np.array_equal(neg, np.argwhere(~cells)), seed
+
     def test_too_large_k(self, tiny_graph):
         total = 6 * 5 - tiny_graph.edge_count
         with pytest.raises(ValueError):
