@@ -1,9 +1,12 @@
 """Command-line surface: generate, split, train, evaluate, compare-samplers,
 export-embeddings.
 
-Exit codes: 0 success, 1 runtime failure, 2 config or usage error. Thread
-environment variables are set before numpy loads, so the worker flags take
-effect; deterministic mode forces a single thread.
+Exit codes: 0 success, 1 runtime failure, 2 config or usage error. The
+worker flags (``--workers``; ``--deterministic`` forces a single thread) set
+the thread environment variables, which numpy's BLAS reads only when numpy
+loads. From the ``graphimpute`` command they take effect, because the CLI
+imports numpy after parsing its arguments; called in a process that has
+already imported numpy, they have no effect and the CLI says so on stderr.
 """
 
 from __future__ import annotations
@@ -70,9 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_threads(args) -> None:
     workers = 1 if args.deterministic else args.workers
-    if workers is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(workers)
+    if workers is None:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(workers)
+    if "numpy" in sys.modules:
+        flag = "--deterministic" if args.deterministic else "--workers"
+        print(
+            f"warning: {flag} has no effect in this process: numpy was loaded "
+            "before the thread count was set",
+            file=sys.stderr,
+        )
 
 
 def _overrides(args) -> dict:

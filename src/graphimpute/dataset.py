@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit, logit
 
 # Demographic features per patient: (age_years, sex).
 DEMOGRAPHICS_DIM = 2
@@ -346,6 +347,18 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
     )
 
 
+# Patient x event cells per block in `generate_synthetic`, ~32 MB per float64
+# temporary: the 5000x500 benchmark cohort is one block, 50k x 2000 is 24
+# blocks of 2097 patients. Not smaller: at 1 << 18 generation was as fast,
+# but later fit epochs in the same process ran ~35% slower, because fewer
+# large frees leave glibc's dynamic mmap threshold low and the epoch's
+# multi-MB temporaries are then mapped and unmapped on every call.
+GENERATE_BLOCK_CELLS = 1 << 22
+# Newton needs ~10 sweeps; bisection alone would need ~46 to shrink the
+# [-30, 30] bracket to 1e-12.
+_CALIBRATE_MAX_SWEEPS = 64
+
+
 def generate_synthetic(
     m: int,
     n: int,
@@ -357,13 +370,15 @@ def generate_synthetic(
     """Low-rank synthetic cohort with unary missingness.
 
     Latent factors are standard normal; per-event intercepts are calibrated by
-    bisection so each event's expected prevalence matches a heavy-tailed target
-    whose overall mean is ``target_density``. Ground-truth positives are
-    Bernoulli draws from the calibrated probabilities; the observed dataset
-    keeps each true positive independently with ``observe_probability``, so
-    observed positives are always a subset of the ground truth. Demographics
-    are two covariates (age-like, sex-like) correlated with the first latent
-    coordinate.
+    safeguarded Newton steps (``_calibrate_intercepts``) so each event's
+    expected prevalence matches a heavy-tailed target whose overall mean is
+    ``target_density``. Ground-truth positives are Bernoulli draws from the
+    calibrated probabilities; the observed dataset keeps each true positive
+    independently with ``observe_probability``, so observed positives are
+    always a subset of the ground truth. Demographics are two covariates
+    (age-like, sex-like) correlated with the first latent coordinate. The
+    patient x event logits are formed in blocks of patients and never held
+    whole; the draws do not depend on the block size.
 
     Returns the observed dataset and the ground-truth pairs.
     """
@@ -383,21 +398,17 @@ def generate_synthetic(
         prevalence *= target_density / prevalence.mean()
     prevalence = np.clip(prevalence, 1e-4, 0.4)
 
-    logits = factors_p @ factors_e.T
-    lo = np.full(n, -30.0)
-    hi = np.full(n, 30.0)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        mean_prob = _sigmoid(logits + mid).mean(axis=0)
-        too_high = mean_prob > prevalence
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-    bias = 0.5 * (lo + hi)
+    rows = max(1, GENERATE_BLOCK_CELLS // n)
+    blocks = [slice(start, start + rows) for start in range(0, m, rows)]
+    bias = _calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
 
-    probs = _sigmoid(logits + bias)
-    truth_mask = rng.random(size=(m, n)) < probs
-    truth_i, truth_j = np.nonzero(truth_mask)
-    ground_truth = np.column_stack([truth_i, truth_j]).astype(np.int64)
+    # One rng.random call per block draws the same stream as one call for all.
+    parts = []
+    for blk in blocks:
+        probs = _sigmoid(factors_p[blk] @ factors_e.T + bias)
+        truth_i, truth_j = np.nonzero(rng.random(size=probs.shape) < probs)
+        parts.append(np.column_stack([truth_i + blk.start, truth_j]))
+    ground_truth = np.concatenate(parts).astype(np.int64)
 
     observed_mask = rng.random(len(ground_truth)) < observe_probability
     positives = ground_truth[observed_mask]
@@ -420,6 +431,45 @@ def generate_synthetic(
         patient_labels=[f"p{i:06d}" for i in range(m)],
     )
     return ds, ground_truth
+
+
+def _calibrate_intercepts(
+    factors_p: np.ndarray, factors_e: np.ndarray, prevalence: np.ndarray, blocks: list[slice]
+) -> np.ndarray:
+    """Per-event intercepts b with mean over patients of
+    expit(factors_p @ factors_e.T + b) equal to ``prevalence``.
+
+    Each sweep visits the patient ``blocks`` once for the mean probability and
+    its slope, then takes a Newton step from b. A per-event bracket [lo, hi],
+    starting at [-30, 30], shrinks to b on the side the mean overshoots; a
+    step that leaves the closed bracket is replaced by its midpoint. The mean
+    is increasing in b, so this converges like Newton near the root and never
+    worse than bisection. Stops once every step is within 1e-12 relative.
+    """
+    m, n = len(factors_p), len(factors_e)
+    b = logit(prevalence)
+    lo = np.full(n, -30.0)
+    hi = np.full(n, 30.0)
+    for _ in range(_CALIBRATE_MAX_SWEEPS):
+        total = np.zeros(n)
+        slope = np.zeros(n)
+        for blk in blocks:
+            s = expit(factors_p[blk] @ factors_e.T + b)
+            total += s.sum(0)
+            slope += (s * (1 - s)).sum(0)
+        f = total / m - prevalence
+        hi = np.where(f > 0, b, hi)
+        lo = np.where(f < 0, b, lo)
+        # A zero slope (every probability saturated) gives inf or nan, which
+        # the bracket test sends to the midpoint.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = b - f / (slope / m)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = np.all(np.abs(step - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+        b = step
+        if converged:
+            break
+    return b
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -116,6 +116,44 @@ class TestArgumentHandling:
         assert out.stdout.strip() == "[]"
 
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--workers", "2"], "--workers"),
+        (["--deterministic"], "--deterministic"),
+    ])
+    def test_thread_flag_in_process_warns(
+        self, config_path, tmp_path, capsys, monkeypatch, flags, name
+    ):
+        # numpy is already loaded here, so the thread variables come too late
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)  # restored after the test
+        code = main(["split", "--config", str(config_path),
+                     "--run-dir", str(tmp_path / "run"), *flags])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert f"warning: {name} has no effect in this process" in err
+
+    def test_no_thread_flag_no_warning(self, config_path, tmp_path, capsys):
+        assert main(["split", "--config", str(config_path),
+                     "--run-dir", str(tmp_path / "run")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_thread_flag_in_fresh_process_takes_effect(self, config_path, tmp_path):
+        src = str(Path(graphimpute.__file__).resolve().parent.parent)
+        code = (
+            "import os, sys; from graphimpute.cli import main; "
+            f"code = main(['split', '--config', {str(config_path)!r}, "
+            f"'--run-dir', {str(tmp_path / 'run')!r}, '--workers', '1']); "
+            "print(os.environ['OPENBLAS_NUM_THREADS']); sys.exit(code)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert "warning" not in out.stderr
+        assert out.stdout.splitlines()[-1] == "1"
+
+
 class TestPipeline:
     def test_generate_writes_cohort_files(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "gen"

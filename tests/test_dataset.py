@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from graphimpute import dataset as ds_mod
 from graphimpute.dataset import (
@@ -302,6 +304,43 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 10, 3, 0.6, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 10, 0, 0.1, seed=0)
+
+    def test_benchmark_cohort_digest(self):
+        # the bytes of the seed-101 benchmark cohort as bisection calibrated it
+        ds, truth = generate_synthetic(5000, 500, 10, 0.02, seed=101)
+        h = hashlib.sha256()
+        for a in (truth, ds.positives, ds.demographics):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == (
+            "c909f4f75b640f67e68c25875a725b062895116a7e681506ea65776685ff9712"
+        )
+
+    @pytest.mark.parametrize("shape", [(150, 40, 4, 0.08, 17), (2000, 400, 6, 0.01, 9)])
+    def test_cohort_does_not_depend_on_block_size(self, monkeypatch, shape):
+        m, n, rank, density, seed = shape
+        whole = generate_synthetic(m, n, rank, density, seed=seed)
+        # blocks of 7 patients with a ragged last block
+        monkeypatch.setattr(ds_mod, "GENERATE_BLOCK_CELLS", 7 * n + 3)
+        blocked = generate_synthetic(m, n, rank, density, seed=seed)
+        assert whole[1].tobytes() == blocked[1].tobytes()
+        assert whole[0].positives.tobytes() == blocked[0].positives.tobytes()
+        assert whole[0].demographics.tobytes() == blocked[0].demographics.tobytes()
+        assert whole[0].event_categories == blocked[0].event_categories
+
+    def test_intercepts_hit_prevalence(self, monkeypatch):
+        # Newton takes ~10 sweeps here; a safeguard that fell back to
+        # bisection would not reach 1e-12 within 12.
+        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 12)
+        rng = np.random.default_rng(0)
+        m, n = 5000, 500
+        factors_p = rng.normal(size=(m, 10))
+        factors_e = rng.normal(size=(n, 10))
+        raw = rng.lognormal(size=n)
+        prevalence = np.clip(raw * (0.02 / raw.mean()), 1e-4, 0.4)
+        blocks = [slice(start, start + 1200) for start in range(0, m, 1200)]
+        bias = ds_mod._calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
+        mean = expit(factors_p @ factors_e.T + bias).mean(axis=0)
+        assert np.max(np.abs(mean - prevalence) / prevalence) <= 1e-12
 
 
 def test_standardize_demographics_uses_given_stats():
