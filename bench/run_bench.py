@@ -1,6 +1,6 @@
 """Scale benchmark: one pass of the graphimpute pipeline at 50k x 2000.
 
-    python3 bench/run_bench.py [--seed 101] [--epochs 3] [--out bench]
+    python3 bench/run_bench.py [--out bench]
 
 Runs from the root of a source checkout and imports the package from its
 `src/` directory. The instance has 50000 patients and 2000 events at rank 10
@@ -10,8 +10,8 @@ and is timed on its own, in this order:
 
 - `generate_s`: `dataset.generate_synthetic`;
 - `filter_split_s`: `dataset.filter_rare_events` and `dataset.split`;
-- `fit_setup_s` and `epoch_s`: `training.fit` for `--epochs` epochs, its
-  set-up (graph build, SVD initialisation) apart from each epoch;
+- `fit_setup_s` and `epoch_s`: `training.fit` for 3 epochs, its set-up
+  (graph build, SVD initialisation) apart from each epoch;
 - `score_grid_s`: `experiment.score_test_grid` over the full test grid;
 - `evaluate_s`: `experiment.evaluate_grid` under each cutoff policy;
 - `knn_s`: one Hamming k-NN job (k = 10) over the same test grid.
@@ -21,8 +21,7 @@ the stage that sets the peak shows. BLAS is pinned to one thread before numpy
 loads, and the pin is read back from numpy's OpenBLAS. The record, with the
 git sha (`dirty` when tracked files differ from HEAD) and library versions,
 goes to `<out>/BENCH_<sha>.json`. A run takes a few minutes and under 1 GB;
-it is not part of the test suite. `--patients` and `--events` shrink the
-instance to check the script itself.
+it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,19 +39,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+INSTANCE = dict(patients=50_000, events=2000, rank=10, density=0.02, seed=101)
+EPOCHS = 3
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, default=101, help="cohort seed (default 101)")
-    parser.add_argument("--epochs", type=int, default=3, help="fit epochs to time (default 3)")
-    parser.add_argument("--patients", type=int, default=50_000)
-    parser.add_argument("--events", type=int, default=2000)
     parser.add_argument("--out", type=Path, default=ROOT / "bench", help="output directory")
-    args = parser.parse_args(argv)
-    if args.epochs < 1:
-        parser.error("--epochs must be >= 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def git_state() -> tuple[str | None, bool]:
@@ -110,9 +104,8 @@ def main(argv=None) -> int:
     )
     model_config = ModelConfig(embedding_dim=32, num_layers=3, scorer_hidden=32)
     train_config = training.TrainConfig(
-        learning_rate=0.02, mask_probability=0.3, warmup_epochs=100, seed=11, epochs=args.epochs
+        learning_rate=0.02, mask_probability=0.3, warmup_epochs=100, seed=11, epochs=EPOCHS
     )
-    instance = dict(patients=args.patients, events=args.events, rank=10, density=0.02, seed=args.seed)
     timings, rss = {}, {}
 
     def stage(name, fn, *fn_args, **fn_kwargs):
@@ -125,7 +118,8 @@ def main(argv=None) -> int:
 
     ds, truth = stage(
         "generate_s", dataset.generate_synthetic,
-        args.patients, args.events, instance["rank"], instance["density"], seed=args.seed,
+        INSTANCE["patients"], INSTANCE["events"], INSTANCE["rank"], INSTANCE["density"],
+        seed=INSTANCE["seed"],
     )
 
     def filter_split():
@@ -153,7 +147,7 @@ def main(argv=None) -> int:
     record = {
         "git_sha": sha,
         "dirty": dirty,
-        "instance": instance,
+        "instance": INSTANCE,
         "split": dataclasses.asdict(split_spec),
         "model": dataclasses.asdict(model_config),
         "train": dataclasses.asdict(train_config),

@@ -115,7 +115,6 @@ class TestArgumentHandling:
         )
         assert out.stdout.strip() == "[]"
 
-
     @pytest.mark.parametrize("flags, name", [
         (["--workers", "2"], "--workers"),
         (["--deterministic"], "--deterministic"),
