@@ -5,8 +5,8 @@
 Runs from the root of a source checkout and imports the package from its
 `src/` directory. The instance has 50000 patients and 2000 events at rank 10
 and density 0.02, so ~1.4M observed edges; the split, model and train settings
-are the acceptance benchmark's (tests/test_acceptance.py). Each stage runs once
-and is timed on its own, in this order:
+are the acceptance benchmark's, imported from `perfbench/workloads.py`. Each
+stage runs once and is timed on its own, in this order:
 
 - `generate_s`: `dataset.generate_synthetic`;
 - `filter_split_s`: `dataset.filter_rare_events` and `dataset.split`;
@@ -18,9 +18,10 @@ and is timed on its own, in this order:
 
 The process's peak RSS (`resource.getrusage`) is read after every stage, so
 the stage that sets the peak shows. BLAS is pinned to one thread before numpy
-loads, and the pin is read back from numpy's OpenBLAS. The record, with the
-git sha (`dirty` when tracked files differ from HEAD) and library versions,
-goes to `<out>/BENCH_<sha>.json`. A run takes a few minutes and under 1 GB;
+loads, and the pin is read back from the OpenBLAS copies that numpy and scipy
+bundle (`perfbench/run.py:openblas`). The record, with the git sha (`dirty`
+when tracked files differ from HEAD) and library versions, goes to
+`<out>/BENCH_<sha>.json`. A run takes a few minutes and under 1 GB;
 it is not part of the test suite.
 """
 
@@ -38,7 +39,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.path.insert(0, str(ROOT))
+
+from perfbench.run import BLAS_ENV, git_sha, openblas  # noqa: E402
+
 INSTANCE = dict(patients=50_000, events=2000, rank=10, density=0.02, seed=101)
 EPOCHS = 3
 
@@ -49,33 +53,13 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def git_state() -> tuple[str | None, bool]:
-    """HEAD of the checkout and whether tracked files differ from it."""
-
-    def git(*cmd):
-        proc = subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    sha = git("rev-parse", "HEAD")
-    return sha, bool(git("status", "--porcelain", "--untracked-files=no"))
-
-
-def blas_threads() -> int | None:
-    """Thread count read back from the OpenBLAS that numpy bundles."""
-    import ctypes
-
-    import numpy
-
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return fn()
-    return None
+def dirty() -> bool:
+    """Whether tracked files differ from HEAD."""
+    proc = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
 def peak_rss_mb() -> float:
@@ -92,20 +76,16 @@ def main(argv=None) -> int:
     import scipy
 
     from graphimpute import baselines, dataset, experiment, training
-    from graphimpute.model import ModelConfig
+    from perfbench.workloads import MODEL, SPLIT, TRAIN
 
-    threads = blas_threads()
-    if threads is not None and threads != 1:
-        print(f"error: BLAS runs {threads} threads, expected 1", file=sys.stderr)
+    threads, blas_config = openblas()
+    if not threads:
+        print("warning: could not read the OpenBLAS thread count back", file=sys.stderr)
+    elif any(count != 1 for count in threads.values()):
+        print(f"error: BLAS thread counts {threads}, expected 1", file=sys.stderr)
         return 2
 
-    split_spec = dataset.SplitSpec(
-        train_fraction=0.7, test_mask_fraction=0.3, min_event_frequency=0.001, seed=5
-    )
-    model_config = ModelConfig(embedding_dim=32, num_layers=3, scorer_hidden=32)
-    train_config = training.TrainConfig(
-        learning_rate=0.02, mask_probability=0.3, warmup_epochs=100, seed=11, epochs=EPOCHS
-    )
+    train_config = training.TrainConfig(epochs=EPOCHS, **TRAIN)
     timings, rss = {}, {}
 
     def stage(name, fn, *fn_args, **fn_kwargs):
@@ -123,12 +103,12 @@ def main(argv=None) -> int:
     )
 
     def filter_split():
-        filtered, event_map = dataset.filter_rare_events(ds, split_spec.min_event_frequency)
-        return dataset.split(filtered, split_spec, event_index_map=event_map)
+        filtered, event_map = dataset.filter_rare_events(ds, SPLIT.min_event_frequency)
+        return dataset.split(filtered, SPLIT, event_index_map=event_map)
 
     sd = stage("filter_split_s", filter_split)
     rows = []
-    state = stage("fit_s", training.fit, sd.train, model_config, train_config, log=rows.append)
+    state = stage("fit_s", training.fit, sd.train, MODEL, train_config, log=rows.append)
     epoch_s = [row["wall_seconds"] for row in rows]
     timings["fit_setup_s"] = timings["fit_s"] - sum(epoch_s)
     grid = stage("score_grid_s", experiment.score_test_grid, state.params, sd.train, sd.test_visible)
@@ -143,13 +123,13 @@ def main(argv=None) -> int:
         sd.train, sd.test_visible.positives, sd.test_visible.num_patients, knn,
     )
 
-    sha, dirty = git_state()
+    sha = git_sha()
     record = {
         "git_sha": sha,
-        "dirty": dirty,
+        "dirty": dirty(),
         "instance": INSTANCE,
-        "split": dataclasses.asdict(split_spec),
-        "model": dataclasses.asdict(model_config),
+        "split": dataclasses.asdict(SPLIT),
+        "model": dataclasses.asdict(MODEL),
         "train": dataclasses.asdict(train_config),
         "knn": dataclasses.asdict(knn),
         "counts": {
@@ -175,7 +155,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "openblas": np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version"),
+            "openblas": blas_config,
         },
         "blas_threads": threads,
         "blas_env": {var: os.environ[var] for var in BLAS_ENV},

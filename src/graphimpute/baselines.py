@@ -83,22 +83,14 @@ def knn_impute(
     if k > m:
         raise ValueError(f"k_neighbors={k} exceeds {m} train patients")
     train_matrix = indicator_matrix(train.positives, m, n)
-    # Votes are a sparse product over the neighbour mask's ones or, once at
-    # least a fifth of the mask is ones, the (events x train) CSR matrix times
-    # the dense mask. Timed per block: dense is ~4x faster at k = m; with 35k
-    # train patients the two tie at k = m / 5 and sparse is ~8x faster at k = 10.
-    train_by_event = train_matrix.T.tocsr() if 5 * k >= m else None
     query = indicator_matrix(test_visible, num_test_patients, n)
     out = np.empty((num_test_patients, n))
     rows = max(1, KNN_BLOCK_CELLS // m)
     for start in range(0, num_test_patients, rows):
         stop = min(start + rows, num_test_patients)
         nearest = nearest_train_patients(train_matrix, query[start:stop], k, cfg.distance)
-        if train_by_event is None:
-            votes = (sp.csr_matrix(nearest, dtype=np.float64) @ train_matrix).toarray()
-        else:
-            votes = (train_by_event @ nearest.T.astype(np.float64)).T
-        out[start:stop] = votes / k
+        votes = sp.csr_matrix(nearest, dtype=np.float64) @ train_matrix
+        out[start:stop] = votes.toarray() / k
     return out
 
 

@@ -139,22 +139,6 @@ class TestKnnImpute:
             monkeypatch.setattr(baselines, "KNN_BLOCK_CELLS", cells)
             assert np.array_equal(knn_impute(train, visible, 11, cfg), expect)
 
-    @pytest.mark.parametrize("k", [5, 6, 17])
-    def test_sparse_and_dense_votes_match_brute_force(self, k):
-        # with 30 train patients, k = 5 votes through the sparse product and
-        # k >= 6 through the dense mask
-        rng = np.random.default_rng(9)
-        mask = rng.random((30, 10)) < 0.25
-        train = _dataset(np.column_stack(np.nonzero(mask)), 30, 10)
-        vis_mask = rng.random((8, 10)) < 0.25
-        for distance in ("hamming", "jaccard"):
-            nearest = _brute_force_knn(mask, vis_mask, k, distance)
-            expect = np.array([mask[row].sum(axis=0) / k for row in nearest])
-            grid = knn_impute(
-                train, np.column_stack(np.nonzero(vis_mask)), 8, KnnConfig(k, distance)
-            )
-            assert np.array_equal(grid, expect), distance
-
     def test_scores_live_on_k_lattice(self):
         rng = np.random.default_rng(4)
         mask = rng.random((30, 10)) < 0.2

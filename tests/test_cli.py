@@ -124,7 +124,7 @@ class TestArgumentHandling:
     ):
         # numpy is already loaded here, so the thread variables come too late
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)  # restored after the test
+            monkeypatch.setenv(var, "")  # teardown removes what main sets
         code = main(["split", "--config", str(config_path),
                      "--run-dir", str(tmp_path / "run"), *flags])
         assert code == 0
@@ -137,20 +137,38 @@ class TestArgumentHandling:
                      "--run-dir", str(tmp_path / "run")]) == 0
         assert "warning" not in capsys.readouterr().err
 
-    def test_thread_flag_in_fresh_process_takes_effect(self, config_path, tmp_path):
-        src = str(Path(graphimpute.__file__).resolve().parent.parent)
-        code = (
-            "import os, sys; from graphimpute.cli import main; "
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_thread_flag_in_fresh_process_sets_blas_threads(self, config_path, tmp_path):
+        # the process starts pinned to one thread; --workers 2 must reach the
+        # OpenBLAS that numpy bundles, read back through its C interface
+        script = tmp_path / "probe.py"
+        script.write_text(
+            "import ctypes, sys\n"
+            "from pathlib import Path\n"
+            "from graphimpute.cli import main\n"
             f"code = main(['split', '--config', {str(config_path)!r}, "
-            f"'--run-dir', {str(tmp_path / 'run')!r}, '--workers', '1']); "
-            "print(os.environ['OPENBLAS_NUM_THREADS']); sys.exit(code)"
+            f"'--run-dir', {str(tmp_path / 'run')!r}, '--workers', '2'])\n"
+            "import numpy\n"
+            "libs = Path(numpy.__file__).resolve().parent.parent / 'numpy.libs'\n"
+            "for path in sorted(libs.glob('lib*openblas*.so*')):\n"
+            "    lib = ctypes.CDLL(str(path))\n"
+            "    for name in ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_'):\n"
+            "        if hasattr(lib, name):\n"
+            "            print('blas_threads', getattr(lib, name)())\n"
+            "sys.exit(code)\n"
         )
+        src = str(Path(graphimpute.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, check=True
         )
         assert "warning" not in out.stderr
-        assert out.stdout.splitlines()[-1] == "1"
+        counts = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("blas_threads")]
+        if not counts:
+            pytest.skip("numpy bundles no OpenBLAS to read the thread count from")
+        assert counts == ["2"]
 
 
 class TestPipeline:
