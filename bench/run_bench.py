@@ -16,8 +16,9 @@ stage runs once and is timed on its own, in this order:
 - `evaluate_s`: `experiment.evaluate_grid` under each cutoff policy;
 - `knn_s`: one Hamming k-NN job (k = 10) over the same test grid.
 
-The process's peak RSS (`resource.getrusage`) is read after every stage, so
-the stage that sets the peak shows. BLAS is pinned to one thread before numpy
+The process's peak RSS and its minor page-fault count (`resource.getrusage`)
+are read after every stage, so the stage that sets the peak, and the stages
+that fault memory in, show. BLAS is pinned to one thread before numpy
 loads, and the pin is read back from the OpenBLAS copies that numpy and scipy
 bundle (`perfbench/run.py:openblas`). The record, with the git sha (`dirty`
 when tracked files differ from HEAD) and library versions, goes to
@@ -66,6 +67,10 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in BLAS_ENV:
@@ -86,14 +91,19 @@ def main(argv=None) -> int:
         return 2
 
     train_config = training.TrainConfig(epochs=EPOCHS, **TRAIN)
-    timings, rss = {}, {}
+    timings, rss, faults = {}, {}, {}
 
     def stage(name, fn, *fn_args, **fn_kwargs):
         t0 = time.perf_counter()
         out = fn(*fn_args, **fn_kwargs)
         timings[name] = time.perf_counter() - t0
         rss[name] = peak_rss_mb()
-        print(f"{name:<28} {timings[name]:9.3f} s   peak RSS {rss[name]:7.0f} MB", flush=True)
+        faults[name] = minor_faults()
+        print(
+            f"{name:<28} {timings[name]:9.3f} s   peak RSS {rss[name]:7.0f} MB"
+            f"   minor faults {faults[name]:9d}",
+            flush=True,
+        )
         return out
 
     ds, truth = stage(
@@ -146,6 +156,7 @@ def main(argv=None) -> int:
         },
         "timings_s": {**timings, "epoch_s": epoch_s},
         "peak_rss_mb_after": rss,
+        "minor_faults_after": faults,
         "peak_rss_mb": peak_rss_mb(),
         "losses": [row["loss"] for row in rows],
         "balanced_accuracy_mean": {

@@ -1,11 +1,13 @@
 """Reference imputers: k-nearest-neighbor voting over binary patient vectors
 and the train-frequency predictor.
 
-Neighbor search is exact brute force. One sparse product of the 0/1 CSR
-matrices gives every query-train intersection count, and both distances
-follow from those counts and the row sizes; no approximate index. Ties at the
-k-th distance go to the lower train patient index, so results are
-reproducible.
+Neighbor search is exact brute force. One product of the sparse 0/1 train
+matrix with a dense block of queries gives every query-train intersection
+count (small integers, exact in float64), and both distances follow from
+those counts and the row sizes; no approximate index. A dense product suits
+counts that are dense anyway: at 50k x 2000 each query shares an event with
+half the train rows. Ties at the k-th distance go to the lower train patient
+index, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def nearest_train_patients(
     empty-vs-empty at 0. The result holds one dense row per query, so callers
     pass the queries in blocks.
     """
-    inter = (query @ train.T).toarray()
+    inter = np.ascontiguousarray((train @ query.toarray().T).T)
     size_q = np.diff(query.indptr)[:, None]
     size_t = np.diff(train.indptr)[None, :]
     if distance == "hamming":

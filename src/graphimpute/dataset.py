@@ -347,13 +347,13 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
     )
 
 
-# Patient x event cells per block in `generate_synthetic`, ~32 MB per float64
-# temporary: the 5000x500 benchmark cohort is one block, 50k x 2000 is 24
-# blocks of 2097 patients. Not smaller: at 1 << 18 generation was as fast,
-# but later fit epochs in the same process ran ~35% slower, because fewer
-# large frees leave glibc's dynamic mmap threshold low and the epoch's
-# multi-MB temporaries are then mapped and unmapped on every call.
-GENERATE_BLOCK_CELLS = 1 << 22
+# Patient x event cells per block in `generate_synthetic`, 2 MB per float64
+# temporary: the 5000x500 benchmark cohort is 10 blocks of 524 patients,
+# 50k x 2000 is 382 blocks of 131. Timed from 1 << 16 to 1 << 22 at both
+# sizes, generation took the same time throughout, and blocks above 1 << 18
+# raised the peak RSS of generating and fitting the benchmark cohort; at
+# 1 << 18 and below the fit sets that peak.
+GENERATE_BLOCK_CELLS = 1 << 18
 # Newton needs ~10 sweeps; bisection alone would need ~46 to shrink the
 # [-30, 30] bracket to 1e-12.
 _CALIBRATE_MAX_SWEEPS = 64

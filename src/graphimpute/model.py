@@ -299,15 +299,18 @@ def score_edges_raw(
     event_latents: np.ndarray,
     pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scorer forward on (patient, event) pairs: (probs, hidden preact).
+    """Scorer forward on (patient, event) pairs: (probs, hidden units).
 
-    The hidden pre-activation gathers the two first-layer halves per pair.
+    The hidden pre-activation gathers the two first-layer halves per pair and
+    is rectified in place; the backward reads the rectifier's derivative off
+    the returned units (positive exactly where the pre-activation was).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     left, right = _first_layer_halves(params, patient_latents, event_latents)
-    h_pre = left[pairs[:, 0]] + right[pairs[:, 1]]
-    h = np.maximum(h_pre, 0.0)
-    return _sigmoid(h @ params.scorer_w2 + params.scorer_b2), h_pre
+    h = left[pairs[:, 0]]
+    h += right[pairs[:, 1]]
+    np.maximum(h, 0.0, out=h)
+    return _sigmoid(h @ params.scorer_w2 + params.scorer_b2), h
 
 
 def score_grid(

@@ -9,6 +9,7 @@ each, so the gradient scale does not depend on the mask draw.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -100,18 +101,18 @@ def _forward(params, g_visible, demographics, positives, negatives):
     Scores the stacked [positives; negatives] pairs in one scorer call;
     balanced_bce checks that both sets are non-empty and of equal size.
     Returns the loss, the forward trace, the stacked pairs, and the scorer's
-    probabilities and hidden pre-activations.
+    probabilities and rectified hidden units.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
     pairs = np.concatenate([positives, negatives])
     trace = forward_trace(params, g_visible, demographics)
-    probs, h_pre = score_edges_raw(
+    probs, h = score_edges_raw(
         params, trace.patient_states[-1], trace.event_states[-1], pairs
     )
     k = len(positives)
     loss = balanced_bce(probs[:k], probs[k:])
-    return loss, trace, pairs, probs, h_pre
+    return loss, trace, pairs, probs, h
 
 
 def loss_forward(
@@ -125,18 +126,19 @@ def loss_forward(
     return _forward(params, g_visible, demographics, positives, negatives)[0]
 
 
-def _scorer_backward(params, pairs, h_pre, dlogit, grads, patient_latents, event_latents):
+def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_latents):
     """Scorer gradients into `grads`; returns the adjoints of the patient and
     event latents.
 
-    The hidden adjoint is first summed over each node's pairs by a sparse
-    incidence product; the first layer's halves then multiply those per-node
-    sums, so no pairs x 2d matrix is formed.
+    `h` holds the forward's rectified hidden units. The hidden adjoint is
+    first summed over each node's pairs by a sparse incidence product; the
+    first layer's halves then multiply those per-node sums, so no pairs x 2d
+    matrix is formed.
     """
-    h = np.maximum(h_pre, 0.0)
     grads["scorer.w2"] = h.T @ dlogit
     grads["scorer.b2"] = dlogit.sum()
-    dh = np.outer(dlogit, params.scorer_w2) * (h_pre > 0)
+    dh = (h > 0) * params.scorer_w2
+    dh *= dlogit[:, None]
     grads["scorer.b1"] = dh.sum(axis=0)
     ones = np.ones(len(pairs))
     rows = np.arange(len(pairs))
@@ -164,7 +166,7 @@ def backward(
     weights are applied. Gradients of clamped log terms are zero, matching the
     piecewise loss exactly.
     """
-    loss, trace, pairs, probs, h_pre = _forward(
+    loss, trace, pairs, probs, h = _forward(
         params, g_visible, demographics, positives, negatives
     )
     k = len(pairs) // 2
@@ -178,7 +180,7 @@ def backward(
     )
     grads = {}
     d_p, d_e = _scorer_backward(
-        params, pairs, h_pre, dlogit, grads, trace.patient_states[-1], trace.event_states[-1]
+        params, pairs, h, dlogit, grads, trace.patient_states[-1], trace.event_states[-1]
     )
 
     ap_t = trace.agg_patient.T
@@ -295,6 +297,20 @@ def train_epoch(
     return row
 
 
+def _fix_allocator_thresholds() -> None:
+    """Keep an epoch's multi-MB temporaries on glibc's heap, so that epochs
+    do not map, trim and fault them in anew, however the process freed memory
+    before. Setting either threshold switches off glibc's dynamic one, so both
+    are set. Does nothing without glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def fit(
     train: Dataset,
     model_config: ModelConfig,
@@ -305,8 +321,10 @@ def fit(
 
     Event embeddings start from the scaled SVD of the train matrix, patient
     features from standardized demographics. `log`, if given, is called with
-    each epoch's stats row.
+    each epoch's stats row. Fixes glibc's allocator thresholds for the whole
+    process first (`_fix_allocator_thresholds`).
     """
+    _fix_allocator_thresholds()
     graph = build(train.positives, train.num_patients, train.num_events)
     stats = demographics_stats(train.demographics)
     demo = standardize_demographics(train.demographics, stats)

@@ -234,12 +234,14 @@ class TestScorer:
         params.scorer_b1 = np.array([0.0, 0.5])
         params.scorer_w2 = np.array([1.0, 2.0])
         params.scorer_b2 = np.array(-0.5)
-        p_lat = np.array([[2.0]])
-        e_lat = np.array([[-1.0]])
-        # u = [2, -1]; h_pre = [0, -2.5]; h = [0, 0]; logit = -0.5
-        probs, h_pre = score_edges_raw(params, p_lat, e_lat, [[0, 0]])
-        assert np.allclose(h_pre, [[0.0, -2.5]])
-        assert np.log(probs[0] / (1.0 - probs[0])) == pytest.approx(-0.5)
+        p_lat = np.array([[2.0], [-1.0]])
+        e_lat = np.array([[-1.0], [1.0]])
+        # (0, 0): u = [2, -1]; h_pre = [0, -2.5]; h = [0, 0]; logit = -0.5
+        # (1, 1): u = [-1, 1]; h_pre = h = [1, 2.5]; logit = 1 + 5 - 0.5 = 5.5
+        probs, h = score_edges_raw(params, p_lat, e_lat, [[0, 0], [1, 1]])
+        assert np.array_equal(h, [[0.0, 0.0], [1.0, 2.5]])
+        logits = np.log(probs / (1.0 - probs))
+        assert logits == pytest.approx([-0.5, 5.5])
         assert probs[0] == pytest.approx(1 / (1 + np.exp(0.5)), abs=1e-12)
 
     def test_grid_matches_pairwise(self, monkeypatch):

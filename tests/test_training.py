@@ -1,8 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphimpute import training
-from graphimpute.dataset import generate_synthetic
+from graphimpute.dataset import generate_synthetic, write_dataset
 from graphimpute.graph import build
 from graphimpute.model import ModelConfig, forward_trace, init_params, score_edges_raw
 from graphimpute.training import (
@@ -166,11 +172,11 @@ class TestScorerGradients:
         trace = forward_trace(params, g, demo)
         p_lat, e_lat = trace.patient_states[-1], trace.event_states[-1]
         pairs = np.concatenate([pos, neg])
-        probs, h_pre = score_edges_raw(params, p_lat, e_lat, pairs)
+        probs, h = score_edges_raw(params, p_lat, e_lat, pairs)
         dlogit = np.concatenate([probs[:k] - 1.0, probs[k:]]) / (2.0 * k)
         ref, ref_p, ref_e = _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit)
-        d_p, d_e = training._scorer_backward(params, pairs, h_pre, dlogit, {}, p_lat, e_lat)
-        assert np.any(grads["scorer.w1"] != 0.0) and np.any(h_pre <= 0.0)
+        d_p, d_e = training._scorer_backward(params, pairs, h, dlogit, {}, p_lat, e_lat)
+        assert np.any(grads["scorer.w1"] != 0.0) and np.any(h == 0.0)
         for name, expect in ref.items():
             np.testing.assert_allclose(grads[name], expect, rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(d_p, ref_p, rtol=0, atol=1e-12)
@@ -308,3 +314,33 @@ class TestFit:
         mc = ModelConfig(embedding_dim=8, num_layers=2, scorer_hidden=4)
         fit(ds, mc, TrainConfig(epochs=4, seed=1), log=rows.append)
         assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator")
+    def test_steady_epochs_keep_their_heap(self, tmp_path):
+        # A fresh process that loads its cohort from files has freed no large
+        # blocks before fit, so without fixed allocator thresholds each epoch
+        # maps or trims its temporaries and faults them in anew: 1400-2100
+        # faults per epoch here, and more with either threshold set alone
+        # (the arrays are above glibc's default 128 KB mmap threshold).
+        ds, _ = generate_synthetic(2000, 300, 6, 0.03, seed=3)
+        triplets, demographics = tmp_path / "triplets.csv", tmp_path / "demographics.csv"
+        write_dataset(ds, triplets, demographics)
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from graphimpute.dataset import load_triplets\n"
+            "from graphimpute.model import ModelConfig\n"
+            "from graphimpute.training import TrainConfig, fit\n"
+            f"ds = load_triplets({str(triplets)!r}, {str(demographics)!r})\n"
+            "faults = []\n"
+            "fit(ds, ModelConfig(embedding_dim=32, num_layers=3, scorer_hidden=32),\n"
+            "    TrainConfig(epochs=30, seed=11),\n"
+            "    log=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))\n"
+            "print(np.diff(faults[10:]).mean())\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert float(out.stdout) < 100
