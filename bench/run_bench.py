@@ -33,10 +33,8 @@ import dataclasses
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,14 +61,6 @@ def dirty() -> bool:
     return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in BLAS_ENV:
@@ -91,47 +81,34 @@ def main(argv=None) -> int:
         return 2
 
     train_config = training.TrainConfig(epochs=EPOCHS, **TRAIN)
-    timings, rss, faults = {}, {}, {}
-
-    def stage(name, fn, *fn_args, **fn_kwargs):
-        t0 = time.perf_counter()
-        out = fn(*fn_args, **fn_kwargs)
-        timings[name] = time.perf_counter() - t0
-        rss[name] = peak_rss_mb()
-        faults[name] = minor_faults()
-        print(
-            f"{name:<28} {timings[name]:9.3f} s   peak RSS {rss[name]:7.0f} MB"
-            f"   minor faults {faults[name]:9d}",
-            flush=True,
+    stage = experiment.StageTimer()
+    with stage("generate_s"):
+        ds, truth = dataset.generate_synthetic(
+            INSTANCE["patients"], INSTANCE["events"], INSTANCE["rank"], INSTANCE["density"],
+            seed=INSTANCE["seed"],
         )
-        return out
-
-    ds, truth = stage(
-        "generate_s", dataset.generate_synthetic,
-        INSTANCE["patients"], INSTANCE["events"], INSTANCE["rank"], INSTANCE["density"],
-        seed=INSTANCE["seed"],
-    )
-
-    def filter_split():
+    with stage("filter_split_s"):
         filtered, event_map = dataset.filter_rare_events(ds, SPLIT.min_event_frequency)
-        return dataset.split(filtered, SPLIT, event_index_map=event_map)
-
-    sd = stage("filter_split_s", filter_split)
+        sd = dataset.split(filtered, SPLIT, event_index_map=event_map)
     rows = []
-    state = stage("fit_s", training.fit, sd.train, MODEL, train_config, log=rows.append)
-    epoch_s = [row["wall_seconds"] for row in rows]
-    timings["fit_setup_s"] = timings["fit_s"] - sum(epoch_s)
-    grid = stage("score_grid_s", experiment.score_test_grid, state.params, sd.train, sd.test_visible)
-    reports = {
-        policy: stage(f"evaluate_{policy}_s", experiment.evaluate_grid, grid, sd, policy)
-        for policy in ("fixed", "train_frequency")
-    }
+    with stage("fit_s"):
+        state = training.fit(sd.train, MODEL, train_config, log=rows.append)
+    with stage("score_grid_s"):
+        grid = experiment.score_test_grid(state.params, sd.train, sd.test_visible)
+    reports = {}
+    for policy in ("fixed", "train_frequency"):
+        with stage(f"evaluate_{policy}_s"):
+            reports[policy] = experiment.evaluate_grid(grid, sd, policy)
     del grid
     knn = baselines.KnnConfig(k_neighbors=10, distance="hamming")
-    stage(
-        "knn_s", baselines.knn_impute,
-        sd.train, sd.test_visible.positives, sd.test_visible.num_patients, knn,
-    )
+    with stage("knn_s"):
+        baselines.knn_impute(sd.train, sd.test_visible.positives, sd.test_visible.num_patients, knn)
+    for name, rec in stage.items():
+        print(f"{name:<28} {rec['seconds']:9.3f} s   peak RSS {rec['peak_rss_mb']:7.0f} MB"
+              f"   minor faults {rec['minor_faults']:9d}")
+    timings = {name: rec["seconds"] for name, rec in stage.items()}
+    epoch_s = [row["wall_seconds"] for row in rows]
+    timings["fit_setup_s"] = timings["fit_s"] - sum(epoch_s)
 
     sha = git_sha()
     record = {
@@ -155,9 +132,9 @@ def main(argv=None) -> int:
             "hidden_edges_per_epoch": [row["hidden_edges"] for row in rows],
         },
         "timings_s": {**timings, "epoch_s": epoch_s},
-        "peak_rss_mb_after": rss,
-        "minor_faults_after": faults,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb_after": {name: rec["peak_rss_mb"] for name, rec in stage.items()},
+        "minor_faults_after": {name: rec["minor_faults"] for name, rec in stage.items()},
+        "peak_rss_mb": stage["knn_s"]["peak_rss_mb"],
         "losses": [row["loss"] for row in rows],
         "balanced_accuracy_mean": {
             p: r.summary()["balanced_accuracy"]["mean"] for p, r in reports.items()

@@ -12,6 +12,7 @@ already imported numpy, they have no effect and the CLI says so on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -158,7 +159,9 @@ def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
         imputer=args.imputer,
         fixed_cutoff=args.cutoff if args.cutoff is not None else 0.5,
     )
-    print(exp.summary_table(reports, args.imputer))
+    with open(os.path.join(run_dir, "telemetry.json")) as fh:
+        runtime_s = json.load(fh)["stages"]["score"]["seconds"]
+    print(exp.summary_table(reports, args.imputer, runtime_s))
     print(f"per-event tables in {run_dir}")
     return 0
 

@@ -8,6 +8,7 @@ demographics. Zeros are unreliable: an absent pair means "never measured", not
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -359,6 +360,22 @@ GENERATE_BLOCK_CELLS = 1 << 18
 _CALIBRATE_MAX_SWEEPS = 64
 
 
+def fix_allocator_thresholds() -> None:
+    """Keep multi-MB temporaries (a generator sweep's blocks, an epoch's
+    arrays) on glibc's heap, so that they are not mapped, trimmed and faulted
+    in anew, however the process freed memory before. Setting either
+    threshold switches off glibc's dynamic one, so both are set. Does nothing
+    without glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def generate_synthetic(
     m: int,
     n: int,
@@ -378,10 +395,13 @@ def generate_synthetic(
     always a subset of the ground truth. Demographics are two covariates
     (age-like, sex-like) correlated with the first latent coordinate. The
     patient x event logits are formed in blocks of patients and never held
-    whole; the draws do not depend on the block size.
+    whole; the draws do not depend on the block size. Fixes glibc's
+    allocator thresholds for the whole process first
+    (`fix_allocator_thresholds`).
 
     Returns the observed dataset and the ground-truth pairs.
     """
+    fix_allocator_thresholds()
     if not 0.0 < target_density < 0.5:
         raise ValueError(f"target_density must lie in (0, 0.5), got {target_density}")
     if rank < 1 or rank > min(m, n):

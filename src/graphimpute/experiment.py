@@ -4,13 +4,17 @@ evaluate pipeline, sampler comparison, and artifact writing.
 Every run is driven by one JSON config with a single top-level seed. Stage
 seeds (generate, split, mask, negatives, init) derive from it through named
 substreams, so no stage's randomness can shift another's. Commands write all
-outputs into a run directory and echo the resolved config in a manifest.
+outputs into a run directory through one `RunWriter`: a manifest echoes the
+resolved config and lists the files written, and `telemetry.json` keeps the
+clocks apart from them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,11 +272,6 @@ def score_test_grid(
     return score_grid(params, p_lat[train_ds.num_patients :], e_lat)
 
 
-def train_event_latents(params: ModelParams, train_ds: Dataset) -> np.ndarray:
-    """Event embeddings after message passing on the train graph."""
-    return _latents(params, train_ds)[1]
-
-
 def imputer_score_grid(
     imputer: str,
     cfg: RunConfig,
@@ -314,7 +313,6 @@ def write_training_log(state: TrainState, path) -> None:
         for name in ("epoch", "loss", "hidden_edges", "relaxed", "event_marginal_l1_gap")
     }
     columns["relaxed"] = [int(relaxed) for relaxed in columns["relaxed"]]
-    columns["wall_seconds"] = [f"{row['wall_seconds']:.6f}" for row in rows]
     write_table(path, columns)
 
 
@@ -322,20 +320,61 @@ def write_manifest(path, command: str, cfg: RunConfig, extra: dict | None = None
     write_json(path, {"command": command, "config": config_to_dict(cfg), **(extra or {})})
 
 
+class StageTimer(dict):
+    """Stage name -> seconds, then the process's peak RSS (MB) and minor page
+    faults read after the stage (`resource.getrusage`)."""
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self[name] = {
+            "seconds": time.perf_counter() - t0,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt,
+        }
+
+
+class RunWriter:
+    """One command's run directory. It makes the directory, records every
+    file name it hands out and times stages; `close` writes the manifest,
+    whose sorted `files` lists those names and itself, and `telemetry.json`
+    with the stage records, which no manifest lists."""
+
+    def __init__(self, run_dir, command: str, cfg: RunConfig, manifest="manifest.json"):
+        self.dir = Path(run_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.command, self.cfg, self.manifest = command, cfg, manifest
+        self.files, self.stage = {manifest}, StageTimer()
+
+    def path(self, name: str) -> Path:
+        self.files.add(name)
+        return self.dir / name
+
+    def write_report(self, report: MetricsReport, stem: str) -> None:
+        write_per_event_csv(report, self.path(f"{stem}_per_event.csv"))
+        write_summary_json(report, self.path(f"{stem}_summary.json"))
+
+    def close(self, extra: dict | None = None, **telemetry) -> None:
+        extra = {**(extra or {}), "files": sorted(self.files)}
+        write_manifest(self.dir / self.manifest, self.command, self.cfg, extra)
+        write_json(self.dir / "telemetry.json", {"stages": self.stage, **telemetry})
+
+
 def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDataset]:
     """Full training command: data, split, fit, checkpoint + log + manifest."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ds = prepare_dataset(cfg)
-    sd = prepare_split(cfg, ds)
-    state = fit(sd.train, cfg.model, cfg.train, log=log)
-    save_checkpoint(run_dir / "checkpoint.npz", cfg.model, state.params, sd.train_sha256())
-    write_training_log(state, run_dir / "training_log.csv")
-    write_split_manifest(run_dir / "split_manifest.txt", cfg.split, sd)
-    write_manifest(
-        run_dir / "manifest.json",
-        "train",
-        cfg,
+    run = RunWriter(run_dir, "train", cfg)
+    with run.stage("data"):
+        ds = prepare_dataset(cfg)
+        sd = prepare_split(cfg, ds)
+    with run.stage("fit"):
+        state = fit(sd.train, cfg.model, cfg.train, log=log)
+    with run.stage("write"):
+        save_checkpoint(run.path("checkpoint.npz"), cfg.model, state.params, sd.train_sha256())
+        write_training_log(state, run.path("training_log.csv"))
+        write_split_manifest(run.path("split_manifest.txt"), cfg.split, sd)
+    run.close(
         {
             "dataset": {
                 "patients": ds.num_patients,
@@ -345,6 +384,7 @@ def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDatas
             },
             "final_loss": state.loss_history[-1] if state.loss_history else None,
         },
+        epoch_seconds=[row["wall_seconds"] for row in state.epoch_stats],
     )
     return state, sd
 
@@ -363,56 +403,44 @@ def run_evaluate(
 
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
-    for a fixed config.
+    for a fixed config. The scoring time is the `score` stage of the run's
+    `telemetry.json`.
     """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if sd is None:
-        sd = prepare_split(cfg, prepare_dataset(cfg))
-    if imputer == "graph" and params is None:
-        if checkpoint_path is None:
-            raise ValueError("need a checkpoint or explicit parameters")
-        params = _checked_checkpoint(cfg, checkpoint_path, sd)
-
-    t0 = time.perf_counter()
-    grid = imputer_score_grid(imputer, cfg, sd, params)
-    score_seconds = time.perf_counter() - t0
+    run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
+    with run.stage("data"):
+        if sd is None:
+            sd = prepare_split(cfg, prepare_dataset(cfg))
+        if imputer == "graph" and params is None:
+            if checkpoint_path is None:
+                raise ValueError("need a checkpoint or explicit parameters")
+            params = _checked_checkpoint(cfg, checkpoint_path, sd)
+    with run.stage("score"):
+        grid = imputer_score_grid(imputer, cfg, sd, params)
     reports = {}
-    for policy in policies:
-        if policy not in CUTOFF_POLICIES:
-            raise ConfigError(f"unknown cutoff policy {policy!r}")
-        report = evaluate_grid(grid, sd, policy, fixed_cutoff)
-        reports[policy] = report
-        stem = f"{imputer}_{policy}"
-        write_per_event_csv(report, run_dir / f"{stem}_per_event.csv")
-        write_summary_json(report, run_dir / f"{stem}_summary.json")
-    write_manifest(
-        run_dir / "evaluate_manifest.json",
-        "evaluate",
-        cfg,
-        {"imputer": imputer, "policies": list(policies)},
-    )
-    reports["_score_seconds"] = score_seconds
+    with run.stage("evaluate"):
+        for policy in policies:
+            if policy not in CUTOFF_POLICIES:
+                raise ConfigError(f"unknown cutoff policy {policy!r}")
+            reports[policy] = evaluate_grid(grid, sd, policy, fixed_cutoff)
+            run.write_report(reports[policy], f"{imputer}_{policy}")
+    run.close({"imputer": imputer, "policies": list(policies)})
     return reports
 
 
-def summary_table(reports: dict, imputer: str) -> str:
+def summary_table(reports: dict[str, MetricsReport], imputer: str, runtime_s: float) -> str:
     """Plain-text metrics table, one row per cutoff policy."""
     lines = [
         f"{'method':<10} {'cutoff':<16} {'sensitivity':<16} {'specificity':<16} "
         f"{'balanced_acc':<16} {'runtime_s':>9}"
     ]
-    runtime = reports.get("_score_seconds", float("nan"))
     for policy, report in reports.items():
-        if policy.startswith("_"):
-            continue
         s = report.summary()
         cells = []
         for name in ("sensitivity", "specificity", "balanced_accuracy"):
             cells.append(f"{s[name]['mean']:.3f} ± {s[name]['std']:.3f}")
         lines.append(
             f"{imputer:<10} {policy:<16} {cells[0]:<16} {cells[1]:<16} "
-            f"{cells[2]:<16} {runtime:>9.2f}"
+            f"{cells[2]:<16} {runtime_s:>9.2f}"
         )
     return "\n".join(lines)
 
@@ -422,29 +450,28 @@ def run_compare_samplers(cfg: RunConfig, run_dir, log=None) -> dict:
 
     Everything except the negative sampler is identical, including all seeds.
     """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ds = prepare_dataset(cfg)
-    sd = prepare_split(cfg, ds)
+    run = RunWriter(run_dir, "compare-samplers", cfg)
+    with run.stage("data"):
+        sd = prepare_split(cfg, prepare_dataset(cfg))
     reports = {}
     for version, sampler in (("v1", "uniform"), ("v2", "degree_preserving")):
-        train_cfg = dataclasses.replace(cfg.train, negative_sampler=sampler)
-        state = fit(sd.train, cfg.model, train_cfg, log=log)
-        grid = score_test_grid(state.params, sd.train, sd.test_visible)
-        report = evaluate_grid(grid, sd, "fixed")
-        reports[version] = report
-        write_per_event_csv(report, run_dir / f"sampler_{version}_per_event.csv")
-        write_summary_json(report, run_dir / f"sampler_{version}_summary.json")
-    profile = bias_profile(reports["v1"], reports["v2"])
-    write_bias_csv(profile, run_dir / "bias_profile.csv")
-    write_json(
-        run_dir / "bias_summary.json",
-        {
-            "spearman_recall_frequency_v1": profile.spearman_v1,
-            "spearman_recall_frequency_v2": profile.spearman_v2,
-        },
-    )
-    write_manifest(run_dir / "manifest.json", "compare-samplers", cfg)
+        with run.stage(f"sampler_{version}"):
+            train_cfg = dataclasses.replace(cfg.train, negative_sampler=sampler)
+            state = fit(sd.train, cfg.model, train_cfg, log=log)
+            grid = score_test_grid(state.params, sd.train, sd.test_visible)
+            reports[version] = evaluate_grid(grid, sd, "fixed")
+            run.write_report(reports[version], f"sampler_{version}")
+    with run.stage("bias"):
+        profile = bias_profile(reports["v1"], reports["v2"])
+        write_bias_csv(profile, run.path("bias_profile.csv"))
+        write_json(
+            run.path("bias_summary.json"),
+            {
+                "spearman_recall_frequency_v1": profile.spearman_v1,
+                "spearman_recall_frequency_v2": profile.spearman_v2,
+            },
+        )
+    run.close()
     return {"profile": profile, "v1": reports["v1"], "v2": reports["v2"]}
 
 
@@ -452,22 +479,18 @@ def run_generate(cfg: RunConfig, run_dir) -> dict:
     """Write a synthetic cohort as triplet + demographics + ground-truth files."""
     if cfg.data.synthetic is None:
         raise ConfigError("generate requires a data.synthetic section")
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ds, truth = _generate(cfg)
+    run = RunWriter(run_dir, "generate", cfg)
+    with run.stage("generate"):
+        ds, truth = _generate(cfg)
     paths = {
-        "triplets": run_dir / "triplets.csv",
-        "demographics": run_dir / "demographics.csv",
-        "ground_truth": run_dir / "ground_truth.csv",
+        "triplets": run.path("triplets.csv"),
+        "demographics": run.path("demographics.csv"),
+        "ground_truth": run.path("ground_truth.csv"),
     }
-    write_dataset(ds, paths["triplets"], paths["demographics"])
-    write_pairs(paths["ground_truth"], truth, ds.patient_labels, ds.event_labels)
-    write_manifest(
-        run_dir / "manifest.json",
-        "generate",
-        cfg,
-        {"observed_positives": len(ds.positives), "true_positives": len(truth)},
-    )
+    with run.stage("write"):
+        write_dataset(ds, paths["triplets"], paths["demographics"])
+        write_pairs(paths["ground_truth"], truth, ds.patient_labels, ds.event_labels)
+    run.close({"observed_positives": len(ds.positives), "true_positives": len(truth)})
     return {"dataset": ds, "paths": paths}
 
 
@@ -477,16 +500,16 @@ def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
     Patient ids are the cohort's, so the train and test files name disjoint
     patients.
     """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ds = prepare_dataset(cfg)
-    sd = prepare_split(cfg, ds)
-    write_split_manifest(run_dir / "split_manifest.txt", cfg.split, sd)
-    write_dataset(sd.train, run_dir / "train_triplets.csv", run_dir / "train_demographics.csv")
-    test = sd.test_visible
-    write_dataset(test, run_dir / "test_visible_triplets.csv", run_dir / "test_demographics.csv")
-    write_pairs(run_dir / "test_heldout.csv", sd.test_heldout, test.patient_labels, test.event_labels)
-    write_manifest(run_dir / "manifest.json", "split", cfg)
+    run = RunWriter(run_dir, "split", cfg)
+    with run.stage("data"):
+        sd = prepare_split(cfg, prepare_dataset(cfg))
+    with run.stage("write"):
+        write_split_manifest(run.path("split_manifest.txt"), cfg.split, sd)
+        write_dataset(sd.train, run.path("train_triplets.csv"), run.path("train_demographics.csv"))
+        test = sd.test_visible
+        write_dataset(test, run.path("test_visible_triplets.csv"), run.path("test_demographics.csv"))
+        write_pairs(run.path("test_heldout.csv"), sd.test_heldout, test.patient_labels, test.event_labels)
+    run.close()
     return sd
 
 
@@ -514,16 +537,18 @@ def _checked_checkpoint(cfg: RunConfig, checkpoint_path, sd: SplitDataset) -> Mo
 
 def run_export_embeddings(cfg: RunConfig, run_dir, checkpoint_path) -> None:
     """Message-pass on the train graph and export event latents + neighbors."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    sd = prepare_split(cfg, prepare_dataset(cfg))
-    params = _checked_checkpoint(cfg, checkpoint_path, sd)
-    e_lat = train_event_latents(params, sd.train)
-    export_event_embeddings(
-        e_lat,
-        run_dir / "event_embeddings.csv",
-        run_dir / "event_neighbors.csv",
-        event_labels=sd.train.event_labels,
-        event_categories=sd.train.event_categories,
-    )
-    write_manifest(run_dir / "manifest.json", "export-embeddings", cfg)
+    run = RunWriter(run_dir, "export-embeddings", cfg)
+    with run.stage("data"):
+        sd = prepare_split(cfg, prepare_dataset(cfg))
+        params = _checked_checkpoint(cfg, checkpoint_path, sd)
+    with run.stage("embed"):
+        e_lat = _latents(params, sd.train)[1]
+    with run.stage("write"):
+        export_event_embeddings(
+            e_lat,
+            run.path("event_embeddings.csv"),
+            run.path("event_neighbors.csv"),
+            event_labels=sd.train.event_labels,
+            event_categories=sd.train.event_categories,
+        )
+    run.close()

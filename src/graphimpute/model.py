@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -24,7 +25,8 @@ CHECKPOINT_FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
-    """A checkpoint this code does not read: an unsupported format version, or
+    """A checkpoint this code does not read: a file that is not an npz
+    archive, an unsupported format version, a missing array or meta key, or
     an array whose shape does not fit the stored config."""
 
 
@@ -349,6 +351,14 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, split_sha256
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
+def _entry(mapping, key: str, kind: str):
+    """`mapping[key]`, or a CheckpointError naming the missing key."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise CheckpointError(f"checkpoint has no {kind} {key}") from None
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
     """Read a checkpoint: its config, parameters and split fingerprint. Meta
     keys and arrays this version does not use are ignored.
@@ -356,17 +366,24 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
     Each array is copied into the one `init_params` makes for the stored config
     and event count, and must have its shape, so that none is broadcast later.
     """
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {meta['format_version']}")
-        config = ModelConfig(**meta["config"])
-        params = init_params(config, meta["num_events"], seed=0)
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError("not an npz archive")
+    with data:
+        meta = json.loads(str(_entry(data, "meta", "array")))
+        version = _entry(meta, "format_version", "meta key")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        config = ModelConfig(**_entry(meta, "config", "meta key"))
+        params = init_params(config, _entry(meta, "num_events", "meta key"), seed=0)
         for name, tensor in params.named_tensors():
-            stored = data[f"param/{name}"]
+            stored = _entry(data, f"param/{name}", "array")
             if stored.shape != tensor.shape:
                 raise CheckpointError(
                     f"checkpoint array {name} has shape {stored.shape}, expected {tensor.shape}"
                 )
             tensor[...] = stored
-    return config, params, meta["split_sha256"]
+    return config, params, _entry(meta, "split_sha256", "meta key")

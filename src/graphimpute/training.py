@@ -9,7 +9,6 @@ each, so the gradient scale does not depend on the mask draw.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import model as model_mod
-from .dataset import Dataset, demographics_stats, standardize_demographics
+from .dataset import Dataset, demographics_stats, fix_allocator_thresholds, standardize_demographics
 from .graph import BipartiteGraph, build
 from .model import ModelConfig, ModelParams, forward_trace, score_edges_raw
 from .sampler import (
@@ -297,20 +296,6 @@ def train_epoch(
     return row
 
 
-def _fix_allocator_thresholds() -> None:
-    """Keep an epoch's multi-MB temporaries on glibc's heap, so that epochs
-    do not map, trim and fault them in anew, however the process freed memory
-    before. Setting either threshold switches off glibc's dynamic one, so both
-    are set. Does nothing without glibc."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def fit(
     train: Dataset,
     model_config: ModelConfig,
@@ -322,9 +307,9 @@ def fit(
     Event embeddings start from the scaled SVD of the train matrix, patient
     features from standardized demographics. `log`, if given, is called with
     each epoch's stats row. Fixes glibc's allocator thresholds for the whole
-    process first (`_fix_allocator_thresholds`).
+    process first (`dataset.fix_allocator_thresholds`).
     """
-    _fix_allocator_thresholds()
+    fix_allocator_thresholds()
     graph = build(train.positives, train.num_patients, train.num_events)
     stats = demographics_stats(train.demographics)
     demo = standardize_demographics(train.demographics, stats)

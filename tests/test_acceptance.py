@@ -286,20 +286,36 @@ def _pipeline_run(tmp_path, tag):
         "evaluate", "--config", str(cfg_path), "--run-dir", str(eval_dir),
         "--checkpoint", str(train_dir / "checkpoint.npz"), "--deterministic",
     ]) == 0
-    return eval_dir
+    return train_dir, eval_dir
 
 
 def test_train_evaluate_reruns_are_byte_identical(tmp_path):
-    first = _pipeline_run(tmp_path, "a")
-    second = _pipeline_run(tmp_path, "b")
-    names = sorted(p.name for p in first.iterdir() if p.suffix in (".csv", ".json"))
+    # every file that the train and evaluate manifests list is compared;
+    # telemetry.json holds the clocks and is listed by neither
+    runs = {tag: _pipeline_run(tmp_path, tag) for tag in "ab"}
+    listed = [
+        (step, name)
+        for step, manifest in enumerate(("manifest.json", "evaluate_manifest.json"))
+        for name in json.loads((runs["a"][step] / manifest).read_text())["files"]
+    ]
+    compared_before = {
+        "evaluate_manifest.json",
+        "graph_fixed_per_event.csv",
+        "graph_fixed_summary.json",
+        "graph_train_frequency_per_event.csv",
+        "graph_train_frequency_summary.json",
+    }
+    assert compared_before <= {name for step, name in listed if step == 1}
+    assert all((run_dir / "telemetry.json").exists() for run_dir in runs["a"])
+    assert "telemetry.json" not in {name for _, name in listed}
     identical = [
-        name for name in names if filecmp.cmp(first / name, second / name, shallow=False)
+        name for step, name in listed
+        if filecmp.cmp(runs["a"][step] / name, runs["b"][step] / name, shallow=False)
     ]
     _verdict(
         "acceptance 8 determinism",
-        names and identical == names,
-        f"{len(identical)}/{len(names)} artifacts byte-identical",
+        len(listed) >= 9 and len(identical) == len(listed),
+        f"{len(identical)}/{len(listed)} artifacts byte-identical",
     )
 
 

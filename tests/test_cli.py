@@ -325,15 +325,32 @@ class TestPipeline:
             assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), command
 
     def test_checkpoint_array_of_wrong_shape_exits_2(self, config_path, tmp_path, capsys):
-        # each of these shapes broadcasts in the forward pass without an error
+        # each of these shapes broadcasts in the forward pass without an error;
+        # an archive that lacks an array or a meta key, and a file that is no
+        # archive at all, are refused the same way
         train_dir = tmp_path / "train"
         main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
         with np.load(train_dir / "checkpoint.npz", allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta["split_sha256"]
         capsys.readouterr()
-        for name, shape in (("layers.0.b_p", (1,)), ("encoder.bias", (1,)), ("scorer.b2", (1, 1))):
+        cases = {
+            f"shape-{name}": ({**arrays, f"param/{name}": np.zeros(shape)},
+                              f"checkpoint array {name} has shape {shape}")
+            for name, shape in (("layers.0.b_p", (1,)), ("encoder.bias", (1,)), ("scorer.b2", (1, 1)))
+        }
+        cases["missing"] = ({k: v for k, v in arrays.items() if k != "param/scorer.b2"},
+                            "checkpoint has no array param/scorer.b2")
+        cases["meta"] = ({**arrays, "meta": np.array(json.dumps(meta))},
+                         "checkpoint has no meta key split_sha256")
+        cases["garbage"] = (None, "garbage.npz: not an npz archive")
+        for name, (contents, message) in cases.items():
             ckpt = tmp_path / f"{name}.npz"
-            np.savez(ckpt, **{**arrays, f"param/{name}": np.zeros(shape)})
+            if contents is None:
+                ckpt.write_bytes(b"not a checkpoint\n")
+            else:
+                np.savez(ckpt, **contents)
             for command in ("evaluate", "export-embeddings"):
                 run_dir = tmp_path / f"{command}-{name}"
                 code = main([
@@ -341,7 +358,7 @@ class TestPipeline:
                     "--checkpoint", str(ckpt),
                 ])
                 assert code == 2, (command, name)
-                assert f"checkpoint array {name} has shape {shape}" in capsys.readouterr().err
+                assert message in capsys.readouterr().err, (command, name)
                 assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), (command, name)
 
     def test_checkpoint_of_other_split_exits_2(self, config_path, tmp_path, capsys):
@@ -391,6 +408,49 @@ class TestPipeline:
             assert (run_dir / name).exists(), name
 
 
+
+class TestRunWriter:
+    STAGES = {
+        "generate": {"generate", "write"},
+        "split": {"data", "write"},
+        "train": {"data", "fit", "write"},
+        "evaluate": {"data", "score", "evaluate"},
+        "compare-samplers": {"data", "sampler_v1", "sampler_v2", "bias"},
+        "export-embeddings": {"data", "embed", "write"},
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("writer")
+        config = str(_write_config(root / "config.json"))
+        ckpt = str(root / "train" / "checkpoint.npz")
+        extra = {"evaluate": ["--checkpoint", ckpt], "export-embeddings": ["--checkpoint", ckpt]}
+        for command in self.STAGES:
+            run_dir = root / command
+            assert main([command, "--config", config, "--run-dir", str(run_dir),
+                         *extra.get(command, [])]) == 0, command
+        return root
+
+    @pytest.mark.parametrize("command", list(STAGES))
+    def test_manifest_lists_exactly_the_files_written(self, runs, command):
+        run_dir = runs / command
+        manifest = "evaluate_manifest.json" if command == "evaluate" else "manifest.json"
+        files = json.loads((run_dir / manifest).read_text())["files"]
+        assert files == sorted(files)
+        assert set(files) == {p.name for p in run_dir.iterdir()} - {"telemetry.json"}
+
+    @pytest.mark.parametrize("command", list(STAGES))
+    def test_telemetry_holds_the_command_stages(self, runs, command):
+        telemetry = json.loads((runs / command / "telemetry.json").read_text())
+        assert set(telemetry["stages"]) == self.STAGES[command]
+        for record in telemetry["stages"].values():
+            assert set(record) == {"seconds", "peak_rss_mb", "minor_faults"}
+            assert record["seconds"] >= 0 and record["peak_rss_mb"] > 0
+        epochs = telemetry.get("epoch_seconds")
+        assert (epochs is not None) == (command == "train")
+        if epochs is not None:
+            assert len(epochs) == 4 and all(s > 0 for s in epochs)
+
 class TestDeterminism:
     def test_same_seed_same_final_loss(self, config_path, tmp_path, capsys):
         for name in ("a", "b"):
@@ -398,11 +458,8 @@ class TestDeterminism:
                 "train", "--config", str(config_path),
                 "--run-dir", str(tmp_path / name), "--deterministic",
             ]) == 0
-        read = lambda name: (tmp_path / name / "training_log.csv").read_text()
-        strip_time = lambda text: [
-            ",".join(line.split(",")[:-1]) for line in text.splitlines()
-        ]
-        assert strip_time(read("a")) == strip_time(read("b"))
+        read = lambda name: (tmp_path / name / "training_log.csv").read_bytes()
+        assert read("a") == read("b")
 
     def test_seed_override_changes_losses(self, config_path, tmp_path):
         main(["train", "--config", str(config_path), "--run-dir", str(tmp_path / "a")])
