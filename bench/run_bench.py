@@ -16,14 +16,14 @@ stage runs once and is timed on its own, in this order:
 - `evaluate_s`: `experiment.evaluate_grid` under each cutoff policy;
 - `knn_s`: one Hamming k-NN job (k = 10) over the same test grid.
 
-The process's peak RSS and its minor page-fault count (`resource.getrusage`)
-are read after every stage, so the stage that sets the peak, and the stages
-that fault memory in, show. BLAS is pinned to one thread before numpy
-loads, and the pin is read back from the OpenBLAS copies that numpy and scipy
-bundle (`perfbench/run.py:openblas`). The record, with the git sha (`dirty`
-when tracked files differ from HEAD) and library versions, goes to
-`<out>/BENCH_<sha>.json`. A run takes a few minutes and under 1 GB;
-it is not part of the test suite.
+`experiment.StageTimer`, the timer behind each command's `telemetry.json`,
+reads the process's peak RSS and minor page faults after every stage, so the
+stage that sets the peak, and the stages that fault memory in, show. BLAS is
+pinned to one thread before numpy loads, and the pin is read back from the
+OpenBLAS copies that numpy and scipy bundle (`perfbench/run.py:openblas`).
+The record, with the git sha (`dirty` when tracked files differ from HEAD)
+and library versions, goes to `<out>/BENCH_<sha>.json`. A run takes a few
+minutes and under 1 GB; it is not part of the test suite.
 """
 
 from __future__ import annotations
