@@ -361,6 +361,40 @@ class TestPipeline:
                 assert message in capsys.readouterr().err, (command, name)
                 assert not any(p.suffix == ".csv" for p in run_dir.glob("*")), (command, name)
 
+    def _evaluate_with_meta(self, config_path, tmp_path, capsys, edit_meta):
+        """Exit code and stderr of `evaluate` on a freshly trained checkpoint
+        whose meta text is replaced by `edit_meta(text)`."""
+        train_dir = tmp_path / "train"
+        main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
+        ckpt = train_dir / "checkpoint.npz"
+        with np.load(ckpt, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["meta"] = np.array(edit_meta(str(arrays["meta"])))
+        np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        run_dir = tmp_path / "evaluate"
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(run_dir),
+            "--checkpoint", str(ckpt),
+        ])
+        assert not any(p.suffix == ".csv" for p in run_dir.glob("*"))
+        return code, capsys.readouterr().err
+
+    def test_checkpoint_meta_not_json_exits_2(self, config_path, tmp_path, capsys):
+        code, err = self._evaluate_with_meta(config_path, tmp_path, capsys, lambda text: text[:-1])
+        assert code == 2
+        assert "checkpoint.npz: checkpoint meta is not JSON" in err
+
+    def test_checkpoint_config_with_unknown_key_exits_2(self, config_path, tmp_path, capsys):
+        def add_key(text):
+            meta = json.loads(text)
+            meta["config"]["dropout"] = 0.1
+            return json.dumps(meta)
+
+        code, err = self._evaluate_with_meta(config_path, tmp_path, capsys, add_key)
+        assert code == 2
+        assert "checkpoint.npz: checkpoint config has unknown key dropout" in err
+
     def test_checkpoint_of_other_split_exits_2(self, config_path, tmp_path, capsys):
         # on file data the seed changes only the split: at seed 8, most of the
         # test patients were training patients at seed 7

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import expit
 
 from graphimpute import model
 from graphimpute.dataset import Dataset
@@ -259,6 +260,47 @@ class TestScorer:
         assert np.allclose(grid.reshape(-1), flat, atol=1e-12)
         monkeypatch.setattr(model, "GRID_BLOCK_ROWS", 128)
         assert np.array_equal(grid, score_grid(params, p_lat, e_lat))
+
+    @pytest.mark.parametrize("scale", [1, 50])
+    def test_grid_matches_dense_reference(self, scale):
+        # integer latents and first-layer weights make both halves exact, so
+        # some hidden pre-activations are exactly zero (left == -right); at
+        # scale 50 most logits saturate
+        rng = np.random.default_rng(18)
+        params = init_params(_small_config(scorer_hidden=5), num_events=7, seed=19)
+        params.scorer_w1 = rng.integers(-2, 3, size=params.scorer_w1.shape).astype(float)
+        params.scorer_b1 = rng.integers(-2, 3, size=5) * float(scale)
+        rows = 2 * model.GRID_BLOCK_ROWS + 3  # the last block is ragged
+        p_lat = rng.integers(-2, 3, size=(rows, 4)) * float(scale)
+        e_lat = rng.integers(-2, 3, size=(7, 4)) * float(scale)
+        left = p_lat @ params.scorer_w1[:4]
+        right = e_lat @ params.scorer_w1[4:] + params.scorer_b1
+        pre = left[:, None, :] + right[None, :, :]
+        assert np.any((pre == 0.0) & (left[:, None, :] != 0.0))
+        logits = np.maximum(pre, 0.0) @ params.scorer_w2 + params.scorer_b2
+        expected = np.clip(expit(logits), model.PROB_EPS, 1.0 - model.PROB_EPS)
+        if scale == 50:
+            assert np.mean(np.abs(logits) > 35.0) > 0.5
+        np.testing.assert_allclose(score_grid(params, p_lat, e_lat), expected, rtol=0, atol=1e-12)
+
+    def test_grid_peak_allocation_is_bounded(self):
+        import tracemalloc
+
+        # the grid, one block of hidden units and a few arrays the size of the
+        # first-layer halves; a per-block temporary of the block's size fails
+        t, n, hidden = 200, 100, 32
+        rng = np.random.default_rng(20)
+        params = init_params(_small_config(scorer_hidden=hidden), num_events=n, seed=21)
+        p_lat, e_lat = rng.normal(size=(t, 4)), rng.normal(size=(n, 4))
+        score_grid(params, p_lat, e_lat)
+        tracemalloc.start()
+        try:
+            score_grid(params, p_lat, e_lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (t * n + model.GRID_BLOCK_ROWS * hidden * n + 4 * (t + n) * hidden)
+        assert peak <= bound
 
     def test_scores_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(16)
