@@ -33,9 +33,9 @@ class CheckpointError(ValueError):
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
 PROB_EPS = 1e-15
-# Patient rows per `score_grid` block: at 1500 x 490 x 32 hidden units a grid
-# took 30 ms at 8 rows against 39 ms at 4 and 45 ms at 16; the block's hidden
-# units (1 MB there) are one reused buffer.
+# Patient rows per `score_grid` block: a 1500 x 490 grid with 32 hidden units
+# took 29-32 ms at 8 rows, 30-33 at 4, 34-38 at 16 and 37-40 at 32 (one BLAS
+# thread, 2-vCPU host); the block's hidden units (1 MB there) are one buffer.
 GRID_BLOCK_ROWS = 8
 
 
