@@ -160,7 +160,7 @@ def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
         fixed_cutoff=args.cutoff if args.cutoff is not None else 0.5,
     )
     with open(os.path.join(run_dir, "telemetry.json")) as fh:
-        runtime_s = json.load(fh)["stages"]["score"]["seconds"]
+        runtime_s = json.load(fh)["evaluate"]["stages"]["score"]["seconds"]
     print(exp.summary_table(reports, args.imputer, runtime_s))
     print(f"per-event tables in {run_dir}")
     return 0

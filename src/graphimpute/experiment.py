@@ -339,8 +339,10 @@ class StageTimer(dict):
 class RunWriter:
     """One command's run directory. It makes the directory, records every
     file name it hands out and times stages; `close` writes the manifest,
-    whose sorted `files` lists those names and itself, and `telemetry.json`
-    with the stage records, which no manifest lists."""
+    whose sorted `files` lists those names and itself, and the command's
+    entry of `telemetry.json` with the stage records. No manifest lists
+    `telemetry.json`; it is keyed by command, so that commands sharing a
+    directory (`train`, then `evaluate`) keep each other's entries."""
 
     def __init__(self, run_dir, command: str, cfg: RunConfig, manifest="manifest.json"):
         self.dir = Path(run_dir)
@@ -359,7 +361,13 @@ class RunWriter:
     def close(self, extra: dict | None = None, **telemetry) -> None:
         extra = {**(extra or {}), "files": sorted(self.files)}
         write_manifest(self.dir / self.manifest, self.command, self.cfg, extra)
-        write_json(self.dir / "telemetry.json", {"stages": self.stage, **telemetry})
+        path = self.dir / "telemetry.json"
+        try:
+            entries = json.loads(path.read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            entries = {}
+        entries[self.command] = {"stages": self.stage, **telemetry}
+        write_json(path, entries)
 
 
 def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDataset]:
@@ -403,8 +411,8 @@ def run_evaluate(
 
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
-    for a fixed config. The scoring time is the `score` stage of the run's
-    `telemetry.json`.
+    for a fixed config. The scoring time is the `score` stage of the
+    `evaluate` entry in the run's `telemetry.json`.
     """
     run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
     with run.stage("data"):

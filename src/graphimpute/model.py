@@ -364,6 +364,15 @@ def _entry(mapping, key: str, kind: str):
         raise CheckpointError(f"checkpoint has no {kind} {key}") from None
 
 
+def _int_entry(mapping, key: str, kind: str) -> int:
+    """`_entry`, or a CheckpointError naming the key if its value is not an int
+    (a bool is an int to Python, not here)."""
+    value = _entry(mapping, key, kind)
+    if type(value) is not int:
+        raise CheckpointError(f"checkpoint {kind} {key} is not an integer")
+    return value
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
     """Read a checkpoint: its config, parameters and split fingerprint. Meta
     keys and arrays this version does not use are ignored.
@@ -382,15 +391,24 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
             meta = json.loads(str(_entry(data, "meta", "array")))
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"checkpoint meta is not JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError("checkpoint meta is not a JSON object")
         version = _entry(meta, "format_version", "meta key")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         stored_config = _entry(meta, "config", "meta key")
+        if not isinstance(stored_config, dict):
+            raise CheckpointError("checkpoint meta key config is not a JSON object")
         unknown = sorted(set(stored_config) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise CheckpointError(f"checkpoint config has unknown key {', '.join(unknown)}")
-        config = ModelConfig(**stored_config)
-        params = init_params(config, _entry(meta, "num_events", "meta key"), seed=0)
+        for key in stored_config:  # every ModelConfig field is an int
+            _int_entry(stored_config, key, "config key")
+        try:
+            config = ModelConfig(**stored_config)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint config: {exc}") from None
+        params = init_params(config, _int_entry(meta, "num_events", "meta key"), seed=0)
         for name, tensor in params.named_tensors():
             stored = _entry(data, f"param/{name}", "array")
             if stored.shape != tensor.shape:

@@ -44,6 +44,20 @@ def config_path(tmp_path):
     return _write_config(tmp_path / "config.json")
 
 
+def _set_meta(keys, value):
+    """Edit of a checkpoint's meta text that sets the entry at the path
+    `keys` to `value`."""
+    def edit(text):
+        meta = json.loads(text)
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        return json.dumps(meta)
+
+    return edit
+
+
 class TestArgumentHandling:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -395,6 +409,21 @@ class TestPipeline:
         assert code == 2
         assert "checkpoint.npz: checkpoint config has unknown key dropout" in err
 
+    @pytest.mark.parametrize("edit_meta, message", [
+        (lambda text: json.dumps([json.loads(text)]), "checkpoint meta is not a JSON object"),
+        (_set_meta(["config"], 32), "checkpoint meta key config is not a JSON object"),
+        (_set_meta(["config", "embedding_dim"], "8"),
+         "checkpoint config key embedding_dim is not an integer"),
+        (_set_meta(["config", "embedding_dim"], 0), "checkpoint config: embedding_dim must be >= 1"),
+        (_set_meta(["num_events"], 30.0), "checkpoint meta key num_events is not an integer"),
+    ], ids=["meta-list", "config-number", "config-string", "config-zero", "events-float"])
+    def test_malformed_checkpoint_meta_exits_2(
+        self, config_path, tmp_path, capsys, edit_meta, message
+    ):
+        code, err = self._evaluate_with_meta(config_path, tmp_path, capsys, edit_meta)
+        assert code == 2
+        assert f"checkpoint.npz: {message}" in err
+
     def test_checkpoint_of_other_split_exits_2(self, config_path, tmp_path, capsys):
         # on file data the seed changes only the split: at seed 8, most of the
         # test patients were training patients at seed 7
@@ -475,7 +504,9 @@ class TestRunWriter:
 
     @pytest.mark.parametrize("command", list(STAGES))
     def test_telemetry_holds_the_command_stages(self, runs, command):
-        telemetry = json.loads((runs / command / "telemetry.json").read_text())
+        entries = json.loads((runs / command / "telemetry.json").read_text())
+        assert set(entries) == {command}
+        telemetry = entries[command]
         assert set(telemetry["stages"]) == self.STAGES[command]
         for record in telemetry["stages"].values():
             assert set(record) == {"seconds", "peak_rss_mb", "minor_faults"}
@@ -484,6 +515,19 @@ class TestRunWriter:
         assert (epochs is not None) == (command == "train")
         if epochs is not None:
             assert len(epochs) == 4 and all(s > 0 for s in epochs)
+
+    def test_evaluate_into_train_directory_keeps_train_telemetry(self, config_path, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
+        train = json.loads((run_dir / "telemetry.json").read_text())["train"]
+        assert main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(run_dir),
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+        ]) == 0
+        entries = json.loads((run_dir / "telemetry.json").read_text())
+        assert set(entries) == {"train", "evaluate"}
+        assert entries["train"] == train
+        assert set(entries["evaluate"]["stages"]) == self.STAGES["evaluate"]
 
 class TestDeterminism:
     def test_same_seed_same_final_loss(self, config_path, tmp_path, capsys):

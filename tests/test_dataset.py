@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,9 +329,9 @@ class TestGenerateSynthetic:
         assert whole[0].event_categories == blocked[0].event_categories
 
     def test_intercepts_hit_prevalence(self, monkeypatch):
-        # Newton takes ~10 sweeps here; a safeguard that fell back to
-        # bisection would not reach 1e-12 within 12.
-        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 12)
+        # Newton on the log of the mean takes 5 sweeps here, plain Newton 9; a
+        # safeguard that fell back to bisection would not reach 1e-12 within 8.
+        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 8)
         rng = np.random.default_rng(0)
         m, n = 5000, 500
         factors_p = rng.normal(size=(m, 10))
@@ -339,6 +340,22 @@ class TestGenerateSynthetic:
         prevalence = np.clip(raw * (0.02 / raw.mean()), 1e-4, 0.4)
         blocks = [slice(start, start + 1200) for start in range(0, m, 1200)]
         bias = ds_mod._calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
+        mean = expit(factors_p @ factors_e.T + bias).mean(axis=0)
+        assert np.max(np.abs(mean - prevalence) / prevalence) <= 1e-12
+
+    def test_intercepts_hit_prevalence_where_cells_saturate(self, monkeypatch):
+        # logits of spread ~30 drive many cells to 0 or 1: the tail where the
+        # mean is exp-like and plain Newton gains ~1 nat per sweep
+        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 8)
+        rng = np.random.default_rng(0)
+        m, n = 5000, 500
+        factors_p = 3 * rng.normal(size=(m, 10))
+        factors_e = 3 * rng.normal(size=(n, 10))
+        prevalence = np.where(np.arange(n) % 2 == 0, 1e-4, 0.4)
+        blocks = [slice(start, start + 1200) for start in range(0, m, 1200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias = ds_mod._calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
         mean = expit(factors_p @ factors_e.T + bias).mean(axis=0)
         assert np.max(np.abs(mean - prevalence) / prevalence) <= 1e-12
 
