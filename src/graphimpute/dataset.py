@@ -466,8 +466,9 @@ def _calibrate_intercepts(
     the mean probability and its slope, then takes a Newton step on the log
     of the mean, which does not crawl in the exp-like tail where plain Newton
     gains ~1 nat per sweep. A per-event bracket [lo, hi], starting at
-    [-30, 30] widened to hold the start, shrinks to b on the side the mean
-    overshoots; a step that leaves the closed bracket is replaced by its
+    [-30, 30], takes b as its upper end where the mean overshoots and as its
+    lower end where it undershoots (so a start below -30 that undershoots
+    widens it); a step that leaves the closed bracket is replaced by its
     midpoint. The mean is increasing in b, so this converges like Newton
     near the root and never worse than bisection. An event leaves the sweeps
     once its last step is within 1e-12 relative, and each sweep sums only
@@ -478,8 +479,8 @@ def _calibrate_intercepts(
     centred = factors_p - mu
     v = np.einsum("jk,kl,jl->j", factors_e, centred.T @ centred / m, factors_e)
     b = logit(prevalence) * np.sqrt(1.0 + np.pi * v / 8.0) - factors_e @ mu
-    lo = np.minimum(b, -30.0)
-    hi = np.maximum(b, 30.0)
+    lo = np.full(n, -30.0)
+    hi = np.full(n, 30.0)
     act = np.arange(n)
     for _ in range(_CALIBRATE_MAX_SWEEPS):
         fe = np.ascontiguousarray(factors_e[act].T)

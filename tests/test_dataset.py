@@ -344,8 +344,10 @@ class TestGenerateSynthetic:
         assert np.max(np.abs(mean - prevalence) / prevalence) <= 1e-12
 
     def test_intercepts_hit_prevalence_where_cells_saturate(self, monkeypatch):
-        # logits of spread ~30 drive many cells to 0 or 1: the tail where the
-        # mean is exp-like and plain Newton gains ~1 nat per sweep
+        # factors x3 give logits of standard deviation ~28, so many cells
+        # saturate: the mean is exp-like in b, where plain Newton gains ~1 nat
+        # per sweep, and intercepts fall to ~-200, below the [-30, 30] start
+        # bracket; they are reached because the probit start lies below them
         monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 8)
         rng = np.random.default_rng(0)
         m, n = 5000, 500
