@@ -18,7 +18,9 @@ stage runs once and is timed on its own, in this order:
 
 `experiment.StageTimer`, the timer behind each command's `telemetry.json`,
 reads the process's peak RSS and minor page faults after every stage, so the
-stage that sets the peak, and the stages that fault memory in, show. BLAS is
+stage that sets the peak, and the stages that fault memory in, show. The peak
+RSS right after the imports, before generation, is `import_peak_rss_mb`: the
+footprint of the libraries the pipeline loads. BLAS is
 pinned to one thread before numpy loads, and the pin is read back from the
 OpenBLAS copies that numpy and scipy bundle (`perfbench/run.py:openblas`).
 The record, with the git sha (`dirty` when tracked files differ from HEAD)
@@ -33,6 +35,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +82,8 @@ def main(argv=None) -> int:
     elif any(count != 1 for count in threads.values()):
         print(f"error: BLAS thread counts {threads}, expected 1", file=sys.stderr)
         return 2
+    import_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{'imports':<28} {'':>11}   peak RSS {import_peak_rss_mb:7.0f} MB")
 
     train_config = training.TrainConfig(epochs=EPOCHS, **TRAIN)
     stage = experiment.StageTimer()
@@ -134,6 +139,7 @@ def main(argv=None) -> int:
         "timings_s": {**timings, "epoch_s": epoch_s},
         "peak_rss_mb_after": {name: rec["peak_rss_mb"] for name, rec in stage.items()},
         "minor_faults_after": {name: rec["minor_faults"] for name, rec in stage.items()},
+        "import_peak_rss_mb": import_peak_rss_mb,
         "peak_rss_mb": stage["knn_s"]["peak_rss_mb"],
         "losses": [row["loss"] for row in rows],
         "balanced_accuracy_mean": {

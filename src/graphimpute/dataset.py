@@ -359,6 +359,11 @@ GENERATE_BLOCK_CELLS = 1 << 18
 # took 9-10); bisection alone would need ~46 to shrink the [-30, 30] bracket
 # to 1e-12.
 _CALIBRATE_MAX_SWEEPS = 64
+# Relative error of an event's mean probability above which calibration
+# refuses the cohort. Events that settle by Newton land within ~1e-12; one
+# that settles on a bracket edge, or is still moving when the sweeps run out,
+# is off by orders of magnitude more.
+_CALIBRATE_TOLERANCE = 1e-8
 
 
 def fix_allocator_thresholds() -> None:
@@ -473,6 +478,11 @@ def _calibrate_intercepts(
     near the root and never worse than bisection. An event leaves the sweeps
     once its last step is within 1e-12 relative, and each sweep sums only
     the events still unsettled.
+
+    Raises ValueError when events are still unsettled after
+    ``_CALIBRATE_MAX_SWEEPS`` sweeps, or settled with their mean further than
+    ``_CALIBRATE_TOLERANCE`` from ``prevalence`` (a root outside the bracket),
+    judged by each event's mean in its last sweep.
     """
     m, n = len(factors_p), len(factors_e)
     mu = factors_p.mean(0)
@@ -482,6 +492,7 @@ def _calibrate_intercepts(
     lo = np.full(n, -30.0)
     hi = np.full(n, 30.0)
     act = np.arange(n)
+    log_ratio = np.zeros(n)
     for _ in range(_CALIBRATE_MAX_SWEEPS):
         fe = np.ascontiguousarray(factors_e[act].T)
         ba, lo_a, hi_a = b[act], lo[act], hi[act]
@@ -507,10 +518,18 @@ def _calibrate_intercepts(
         lo_a = np.where(f < 0, ba, lo_a)
         step = np.where((step >= lo_a) & (step <= hi_a), step, 0.5 * (lo_a + hi_a))
         settled = np.abs(step - ba) <= 1e-12 * np.maximum(1.0, np.abs(ba))
-        b[act], lo[act], hi[act] = step, lo_a, hi_a
+        b[act], lo[act], hi[act], log_ratio[act] = step, lo_a, hi_a, f
         act = act[~settled]
         if len(act) == 0:
             break
+    rel_err = np.abs(np.expm1(log_ratio))
+    off = ~(rel_err <= _CALIBRATE_TOLERANCE)
+    off[act] = True
+    if off.any():
+        raise ValueError(
+            f"intercept calibration left {int(off.sum())} of {n} events off their "
+            f"prevalence (worst relative error {rel_err[off].max():.3g})"
+        )
     return b
 
 

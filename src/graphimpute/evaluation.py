@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .dataset import encode_pairs, unique_codes, write_json, write_table
 from .graph import in_sorted
@@ -161,6 +160,8 @@ def recall_frequency_spearman(report: MetricsReport) -> float:
     recall = report.sensitivity[defined]
     if len(freqs) < 2:
         return float("nan")
+    import scipy.stats  # loaded on demand: only compare-samplers needs it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.stats.ConstantInputWarning)
         rho = scipy.stats.spearmanr(freqs, recall).statistic

@@ -218,14 +218,17 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def _generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """The configured synthetic cohort and its ground-truth pairs."""
     s = cfg.data.synthetic
-    return generate_synthetic(
-        s.num_patients,
-        s.num_events,
-        s.rank,
-        s.target_density,
-        seed=substream_seed(cfg.seed, "generate"),
-        observe_probability=s.observe_probability,
-    )
+    try:
+        return generate_synthetic(
+            s.num_patients,
+            s.num_events,
+            s.rank,
+            s.target_density,
+            seed=substream_seed(cfg.seed, "generate"),
+            observe_probability=s.observe_probability,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"data.synthetic: {exc}") from None
 
 
 def prepare_dataset(cfg: RunConfig) -> Dataset:

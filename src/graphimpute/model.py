@@ -37,6 +37,10 @@ PROB_EPS = 1e-15
 # took 29-32 ms at 8 rows, 30-33 at 4, 34-38 at 16 and 37-40 at 32 (one BLAS
 # thread, 2-vCPU host); the block's hidden units (1 MB there) are one buffer.
 GRID_BLOCK_ROWS = 8
+# Pairs per `score_edges_raw` block: the event half is gathered and added into
+# the hidden units one block at a time, so its temporary is 2^16 x hidden
+# floats (16 MB at 32 units) rather than a second pairs x hidden array.
+PAIR_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -305,15 +309,18 @@ def score_edges_raw(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scorer forward on (patient, event) pairs: (probs, hidden units).
 
-    The hidden pre-activation gathers the two first-layer halves per pair and
-    is rectified in place; the backward reads the rectifier's derivative off
-    the returned units (positive exactly where the pre-activation was).
+    The hidden pre-activation gathers the two first-layer halves per pair,
+    adding the event half in blocks of PAIR_BLOCK_ROWS pairs, and is rectified
+    in place; the backward reads the rectifier's derivative off the returned
+    units (positive exactly where the pre-activation was).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     left, right = _first_layer_halves(params, patient_latents, event_latents)
     h = left[pairs[:, 0]]
-    h += right[pairs[:, 1]]
-    np.maximum(h, 0.0, out=h)
+    for start in range(0, len(pairs), PAIR_BLOCK_ROWS):
+        block = h[start : start + PAIR_BLOCK_ROWS]
+        block += right[pairs[start : start + PAIR_BLOCK_ROWS, 1]]
+        np.maximum(block, 0.0, out=block)
     return _sigmoid(h @ params.scorer_w2 + params.scorer_b2), h
 
 

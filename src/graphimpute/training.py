@@ -129,14 +129,15 @@ def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_lat
     """Scorer gradients into `grads`; returns the adjoints of the patient and
     event latents.
 
-    `h` holds the forward's rectified hidden units. The hidden adjoint is
-    first summed over each node's pairs by a sparse incidence product; the
-    first layer's halves then multiply those per-node sums, so no pairs x 2d
-    matrix is formed.
+    `h` holds the forward's rectified hidden units and is consumed: once
+    `scorer.w2`'s gradient is read off it, the hidden adjoint is built in its
+    memory. That adjoint is first summed over each node's pairs by a sparse
+    incidence product; the first layer's halves then multiply those per-node
+    sums, so no pairs x 2d matrix is formed.
     """
     grads["scorer.w2"] = h.T @ dlogit
     grads["scorer.b2"] = dlogit.sum()
-    dh = (h > 0) * params.scorer_w2
+    dh = np.multiply(h > 0, params.scorer_w2, out=h)
     dh *= dlogit[:, None]
     grads["scorer.b1"] = dh.sum(axis=0)
     ones = np.ones(len(pairs))

@@ -129,6 +129,23 @@ class TestArgumentHandling:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_importing_pipeline_loads_no_scipy_stats(self):
+        # scipy.stats (and the optimize and linalg modules it pulls in) is
+        # loaded on demand by recall_frequency_spearman alone
+        src = str(Path(graphimpute.__file__).resolve().parent.parent)
+        modules = ("experiment", "training", "model", "baselines", "dataset", "evaluation")
+        code = (
+            "import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('graphimpute.' + name)\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.stats' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True", "False"]
+
     @pytest.mark.parametrize("flags, name", [
         (["--workers", "2"], "--workers"),
         (["--deterministic"], "--deterministic"),
@@ -195,6 +212,17 @@ class TestPipeline:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 120
         assert set(rows[0]) == {"patient_id", "age", "sex"}
+
+    def test_generate_refuses_uncalibrated_cohort(self, config_path, tmp_path, capsys, monkeypatch):
+        import graphimpute.dataset as ds_mod
+
+        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 1)
+        run_dir = tmp_path / "gen"
+        code = main(["generate", "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data.synthetic" in err and "off their prevalence" in err
+        assert not (run_dir / "triplets.csv").exists()
 
     def test_split_reports_partition(self, config_path, tmp_path, capsys):
         run_dir = tmp_path / "split"

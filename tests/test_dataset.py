@@ -361,6 +361,24 @@ class TestGenerateSynthetic:
         mean = expit(factors_p @ factors_e.T + bias).mean(axis=0)
         assert np.max(np.abs(mean - prevalence) / prevalence) <= 1e-12
 
+    def test_unsettled_calibration_is_refused(self, monkeypatch):
+        # one sweep leaves every event short of its stop, whatever its error
+        monkeypatch.setattr(ds_mod, "_CALIBRATE_MAX_SWEEPS", 1)
+        with pytest.raises(ValueError, match=r"left 40 of 40 events off their prevalence"):
+            generate_synthetic(150, 40, 4, 0.08, seed=17)
+
+    def test_root_outside_bracket_is_refused(self):
+        # one patient at 100 and 999 at 0 put the root of event 0 near -102;
+        # the probit start (-20.5) lies inside [-30, 30], so the iterate
+        # settles on the -30 edge with its mean ~10x the prevalence. Event 1
+        # has its root inside and calibrates.
+        factors_p = np.zeros((1000, 1))
+        factors_p[0] = 100.0
+        factors_e = np.ones((2, 1))
+        prevalence = np.array([1e-4, 0.05])
+        with pytest.raises(ValueError, match=r"left 1 of 2 events .* error 9\)"):
+            ds_mod._calibrate_intercepts(factors_p, factors_e, prevalence, [slice(0, 1000)])
+
 
 def test_standardize_demographics_uses_given_stats():
     demo = np.column_stack([np.array([40.0, 50.0, 60.0]), np.array([0.0, 1.0, 1.0])])

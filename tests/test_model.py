@@ -245,6 +245,21 @@ class TestScorer:
         assert logits == pytest.approx([-0.5, 5.5])
         assert probs[0] == pytest.approx(1 / (1 + np.exp(0.5)), abs=1e-12)
 
+    def test_pair_blocks_match_one_gather(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        params = init_params(_small_config(), num_events=7, seed=17)
+        p_lat = rng.normal(size=(9, 4))
+        e_lat = rng.normal(size=(7, 4))
+        # 50 pairs at 8 per block: six full blocks and a partial one of 2
+        pairs = np.column_stack([rng.integers(0, 9, 50), rng.integers(0, 7, 50)])
+        monkeypatch.setattr(model, "PAIR_BLOCK_ROWS", 8)
+        probs, h = score_edges_raw(params, p_lat, e_lat, pairs)
+        left, right = model._first_layer_halves(params, p_lat, e_lat)
+        ref_h = np.maximum(left[pairs[:, 0]] + right[pairs[:, 1]], 0.0)
+        ref_probs = model._sigmoid(ref_h @ params.scorer_w2 + params.scorer_b2)
+        assert h.tobytes() == ref_h.tobytes()
+        assert probs.tobytes() == ref_probs.tobytes()
+
     def test_grid_matches_pairwise(self, monkeypatch):
         rng = np.random.default_rng(14)
         params = init_params(_small_config(), num_events=7, seed=15)

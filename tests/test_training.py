@@ -175,8 +175,9 @@ class TestScorerGradients:
         probs, h = score_edges_raw(params, p_lat, e_lat, pairs)
         dlogit = np.concatenate([probs[:k] - 1.0, probs[k:]]) / (2.0 * k)
         ref, ref_p, ref_e = _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit)
-        d_p, d_e = training._scorer_backward(params, pairs, h, dlogit, {}, p_lat, e_lat)
+        # read before the backward, which builds the hidden adjoint in h
         assert np.any(grads["scorer.w1"] != 0.0) and np.any(h == 0.0)
+        d_p, d_e = training._scorer_backward(params, pairs, h, dlogit, {}, p_lat, e_lat)
         for name, expect in ref.items():
             np.testing.assert_allclose(grads[name], expect, rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(d_p, ref_p, rtol=0, atol=1e-12)
