@@ -72,7 +72,8 @@ def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGra
             raise ValueError("patient index out of range")
         if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_events:
             raise ValueError("event index out of range")
-    codes = np.sort(encode_pairs(pairs, num_events))
+    # stable (timsort): linear on codes already in order, like each epoch's visible edges
+    codes = np.sort(encode_pairs(pairs, num_events), kind="stable")
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate edges in input")
     row_starts = np.arange(num_patients + 1, dtype=np.int64) * num_events

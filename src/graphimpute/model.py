@@ -230,12 +230,12 @@ class ForwardTrace:
 
     The states hold each round's input and, last, the final latents. A
     rectifier's derivative is read off its output (positive exactly where its
-    input was), so pre-activations are not kept.
+    input was), so pre-activations are not kept. The patient side's neighbor
+    mean is never formed (see `message_pass`), so only the event side's is kept.
     """
 
     patient_states: list[np.ndarray] = field(default_factory=list)
     event_states: list[np.ndarray] = field(default_factory=list)
-    patient_means: list[np.ndarray] = field(default_factory=list)
     event_means: list[np.ndarray] = field(default_factory=list)
     agg_patient: sp.csr_matrix | None = None
     agg_event: sp.csr_matrix | None = None
@@ -260,8 +260,11 @@ def message_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Latent embeddings after all rounds, from explicit initial features.
 
-    If `trace` is given, the mean operators, each round's input states and
-    neighbor means, and the final latents are recorded into it.
+    The patient side applies its neighbor map before aggregating,
+    ap @ (e @ w_nbr_p), so its dense product runs over event rows; the event
+    side aggregates first, (ae @ p) @ w_nbr_e, because its mean is the small
+    side. If `trace` is given, the mean operators, each round's input states
+    and event-side neighbor means, and the final latents are recorded into it.
     """
     ap, ae = mean_operators(g_visible)
     p, e = patient_init, event_init
@@ -271,16 +274,14 @@ def message_pass(
         trace.event_states.append(e)
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
-        mp = ap @ e
         me = ae @ p
-        p_new = p @ layer.w_self_p + mp @ layer.w_nbr_p + layer.b_p
+        p_new = p @ layer.w_self_p + ap @ (e @ layer.w_nbr_p) + layer.b_p
         e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
         if idx < last:
             p_new = np.maximum(p_new, 0.0)
             e_new = np.maximum(e_new, 0.0)
         p, e = p_new, e_new
         if trace is not None:
-            trace.patient_means.append(mp)
             trace.event_means.append(me)
             trace.patient_states.append(p)
             trace.event_states.append(e)

@@ -116,12 +116,16 @@ def sample_negative_degree_preserving(
     codes = patients * n + events
     hit = in_sorted(edge_codes, codes)
 
-    def conflicts() -> np.ndarray:
-        first = np.zeros(len(codes), dtype=bool)
-        first[np.unique(codes, return_index=True)[1]] = True
-        return hit | ~first
+    def conflicts(runs) -> np.ndarray:
+        """Conflict flags of the slots `runs`: whole patient runs, in slot order."""
+        sub = codes[runs]
+        first = np.zeros(len(sub), dtype=bool)
+        first[np.unique(sub, return_index=True)[1]] = True
+        return hit[runs] | ~first
 
-    bad = conflicts()
+    # Slots are dealt in patient order, so a repeated pair lies within one
+    # patient's run of slots; each round re-checks only the runs it touched.
+    bad = conflicts(slice(None))
     for _ in range(REDEAL_ROUNDS):
         if not bad.any():
             break
@@ -131,7 +135,10 @@ def sample_negative_degree_preserving(
         events[slots] = events[rng.permutation(slots)]
         codes[slots] = patients[slots] * n + events[slots]
         hit[slots] = in_sorted(edge_codes, codes[slots])
-        bad = conflicts()
+        touched = np.zeros(m, dtype=bool)
+        touched[patients[slots]] = True
+        runs = np.flatnonzero(touched[patients])
+        bad[runs] = conflicts(runs)
 
     for i in np.unique(patients[bad]):
         own = patients == i

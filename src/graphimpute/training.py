@@ -130,22 +130,22 @@ def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_lat
     event latents.
 
     `h` holds the forward's rectified hidden units and is consumed: once
-    `scorer.w2`'s gradient is read off it, the hidden adjoint is built in its
-    memory. That adjoint is first summed over each node's pairs by a sparse
-    incidence product; the first layer's halves then multiply those per-node
-    sums, so no pairs x 2d matrix is formed.
+    `scorer.w2`'s gradient is read off it, the rectifier's mask is written
+    into its memory. Sparse incidence products whose entries are `dlogit` sum
+    the masked units over each node's pairs, and `w2` scales those per-node
+    sums; the first layer's halves then multiply them, so no pairs x 2d matrix
+    is formed. Every pair has exactly one event, so `scorer.b1`'s gradient is
+    the sum of the per-event terms.
     """
     grads["scorer.w2"] = h.T @ dlogit
     grads["scorer.b2"] = dlogit.sum()
-    dh = np.multiply(h > 0, params.scorer_w2, out=h)
-    dh *= dlogit[:, None]
-    grads["scorer.b1"] = dh.sum(axis=0)
-    ones = np.ones(len(pairs))
+    mask = np.greater(h, 0.0, out=h)
     rows = np.arange(len(pairs))
-    to_p = sp.csr_matrix((ones, (pairs[:, 0], rows)), shape=(len(patient_latents), len(pairs)))
-    to_e = sp.csr_matrix((ones, (pairs[:, 1], rows)), shape=(len(event_latents), len(pairs)))
-    dhp = to_p @ dh
-    dhe = to_e @ dh
+    to_p = sp.csr_matrix((dlogit, (pairs[:, 0], rows)), shape=(len(patient_latents), len(pairs)))
+    to_e = sp.csr_matrix((dlogit, (pairs[:, 1], rows)), shape=(len(event_latents), len(pairs)))
+    dhp = (to_p @ mask) * params.scorer_w2
+    dhe = (to_e @ mask) * params.scorer_w2
+    grads["scorer.b1"] = dhe.sum(axis=0)
     grads["scorer.w1"] = np.concatenate([patient_latents.T @ dhp, event_latents.T @ dhe])
     d = patient_latents.shape[1]
     return dhp @ params.scorer_w1[:d].T, dhe @ params.scorer_w1[d:].T
@@ -191,15 +191,18 @@ def backward(
         if idx < last:
             d_p = d_p * (trace.patient_states[idx + 1] > 0)
             d_e = d_e * (trace.event_states[idx + 1] > 0)
+        # The patient neighbor term is ap @ (e @ w_nbr_p); the adjoint of its
+        # aggregation serves both w_nbr_p's gradient and the event adjoint.
+        s = ap_t @ d_p
         prefix = f"layers.{idx}"
         grads[f"{prefix}.w_self_p"] = trace.patient_states[idx].T @ d_p
-        grads[f"{prefix}.w_nbr_p"] = trace.patient_means[idx].T @ d_p
+        grads[f"{prefix}.w_nbr_p"] = trace.event_states[idx].T @ s
         grads[f"{prefix}.b_p"] = d_p.sum(axis=0)
         grads[f"{prefix}.w_self_e"] = trace.event_states[idx].T @ d_e
         grads[f"{prefix}.w_nbr_e"] = trace.event_means[idx].T @ d_e
         grads[f"{prefix}.b_e"] = d_e.sum(axis=0)
         d_p_prev = d_p @ layer.w_self_p.T + ae_t @ (d_e @ layer.w_nbr_e.T)
-        d_e_prev = d_e @ layer.w_self_e.T + ap_t @ (d_p @ layer.w_nbr_p.T)
+        d_e_prev = d_e @ layer.w_self_e.T + s @ layer.w_nbr_p.T
         d_p, d_e = d_p_prev, d_e_prev
 
     grads["event_embeddings"] = d_e

@@ -1,21 +1,79 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphimpute.graph import build
+from graphimpute.dataset import SplitSpec, decode_pairs, filter_rare_events, generate_synthetic, split
+from graphimpute.graph import build, in_sorted
 from graphimpute.sampler import (
+    REDEAL_ROUNDS,
     EdgeBatch,
     sample_invisible,
     sample_negative_degree_preserving,
     sample_negative_uniform,
 )
+from graphimpute.training import TrainConfig, sample_epoch_batch
 
 
 def _random_graph(rng, m, n, density):
     mask = rng.random((m, n)) < density
     pairs = np.column_stack(np.nonzero(mask)).astype(np.int64)
     return build(pairs, m, n)
+
+
+def _crowded_instance(seed, m=40, n=12, density=0.6):
+    """A dense graph whose hidden edges leave each patient few spare non-edges,
+    so re-dealing cannot clear every conflict; demands stay feasible."""
+    rng = np.random.default_rng(seed)
+    g = _random_graph(rng, m, n, density)
+    inv, _ = sample_invisible(g, 0.5, seed=seed)
+    rank = np.arange(len(inv)) - np.searchsorted(inv[:, 0], inv[:, 0])
+    return g, inv[rank < n - g.patient_degrees()[inv[:, 0]]]
+
+
+def _full_recheck_sampler(g_full, invisible, seed):
+    """The degree-preserving sampler as it was when every re-deal round
+    re-checked all slots with one `np.unique`; returns its outcome and the
+    number of rounds it ran."""
+    m, n = g_full.num_patients, g_full.num_events
+    rng = np.random.default_rng(seed)
+    demand_p = np.bincount(invisible[:, 0], minlength=m)
+    demand_e = np.bincount(invisible[:, 1], minlength=n)
+    edge_codes = g_full.edge_codes()
+    patients = np.repeat(np.arange(m, dtype=np.int64), demand_p)
+    events = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), demand_e))
+    codes = patients * n + events
+    hit = in_sorted(edge_codes, codes)
+
+    def conflicts():
+        first = np.zeros(len(codes), dtype=bool)
+        first[np.unique(codes, return_index=True)[1]] = True
+        return hit | ~first
+
+    bad = conflicts()
+    rounds = 0
+    for _ in range(REDEAL_ROUNDS):
+        if not bad.any():
+            break
+        rounds += 1
+        clean = np.flatnonzero(~bad)
+        partners = rng.choice(clean, size=min(int(bad.sum()), len(clean)), replace=False)
+        slots = np.concatenate([np.flatnonzero(bad), partners])
+        events[slots] = events[rng.permutation(slots)]
+        codes[slots] = patients[slots] * n + events[slots]
+        hit[slots] = in_sorted(edge_codes, codes[slots])
+        bad = conflicts()
+    for i in np.unique(patients[bad]):
+        own = patients == i
+        ok = np.ones(n, dtype=bool)
+        ok[g_full.patient_neighbors(i)] = False
+        ok[events[own & ~bad]] = False
+        stuck = np.flatnonzero(own & bad)
+        events[stuck] = rng.choice(np.flatnonzero(ok), size=len(stuck), replace=False)
+    gap = int(np.abs(np.bincount(events, minlength=n) - demand_e).sum())
+    return (decode_pairs(np.sort(patients * n + events), n), gap > 0, gap), rounds
 
 
 class TestSampleInvisible:
@@ -88,6 +146,47 @@ class TestDegreePreserving:
             batch.validate(g)
             relaxed_count += int(relaxed)
         assert relaxed_count <= 5
+
+    def test_matches_full_recheck_on_random_graphs(self):
+        redealt = 0
+        for seed in range(24):
+            g = _random_graph(np.random.default_rng(seed), 80, 30, 0.2)
+            inv, _ = sample_invisible(g, 0.25, seed=seed)
+            (neg, relaxed, gap), rounds = _full_recheck_sampler(g, inv, seed + 100)
+            got = sample_negative_degree_preserving(g, inv, seed + 100)
+            assert got[0].tobytes() == neg.tobytes(), seed
+            assert got[1] is relaxed and got[2] == gap, seed
+            redealt += rounds > 0
+        assert redealt >= 20  # the re-deal loop really ran
+
+    def test_matches_full_recheck_through_the_fallback(self):
+        for seed in range(20):
+            g, inv = _crowded_instance(seed)
+            (neg, relaxed, gap), rounds = _full_recheck_sampler(g, inv, seed)
+            # every re-deal round ran and slots were left for the fallback
+            assert relaxed and gap > 0 and rounds == REDEAL_ROUNDS, seed
+            got = sample_negative_degree_preserving(g, inv, seed)
+            assert got[0].tobytes() == neg.tobytes(), seed
+            assert got[1] is True and got[2] == gap, seed
+
+    def test_benchmark_batches_digest(self):
+        # the first 20 degree-preserving batches of the benchmark instance
+        # (cohort seed 101, split seed 5, train seed 11), as drawn when every
+        # re-deal round re-checked all slots
+        ds, _ = generate_synthetic(5000, 500, 10, 0.02, seed=101)
+        filtered, emap = filter_rare_events(ds, 0.001)
+        sd = split(filtered, SplitSpec(0.7, 0.3, 0.001, seed=5), event_index_map=emap)
+        g = build(sd.train.positives, sd.train.num_patients, sd.train.num_events)
+        config = TrainConfig(mask_probability=0.3, seed=11, negative_sampler="degree_preserving")
+        h = hashlib.sha256()
+        for epoch in range(20):
+            batch = sample_epoch_batch(g, config, epoch)
+            h.update(batch.invisible.tobytes())
+            h.update(batch.negative.tobytes())
+            h.update(np.array([batch.relaxed, batch.event_marginal_l1_gap], dtype=np.int64).tobytes())
+        assert h.hexdigest() == (
+            "213d8a67dd30c19850b7867a045a16265b9ecaad80b16d20caafd82f6dc13e5e"
+        )
 
     def test_conditional_determinism(self):
         rng = np.random.default_rng(11)
