@@ -533,11 +533,24 @@ def _calibrate_intercepts(
     return b
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise logistic function of a float array, written into ``out``
+    if given (``x`` itself for an in-place update), else into a new array.
+    ``scratch``, a float array of ``x``'s shape, is overwritten if given, else
+    one is allocated."""
     # exp(-|x|) never overflows; by sign this is 1 / (1 + exp(-x)) or
     # exp(x) / (1 + exp(x)), the same bits as computing each branch apart.
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # exp(-|x|) lies in [0, 1], so max(exp(-|x|), x >= 0) is the numerator
+    # exactly: 1 where x >= 0, exp(x) elsewhere (nan stays nan).
+    num = np.empty(np.shape(x)) if scratch is None else scratch
+    np.greater_equal(x, 0.0, out=num)
+    ex = np.copysign(x, -1.0, out=out)
+    np.exp(ex, out=ex)
+    np.maximum(ex, num, out=num)
+    ex += 1.0
+    return np.divide(num, ex, out=ex)
 
 
 def demographics_stats(demographics: np.ndarray) -> tuple[float, float]:
@@ -573,19 +586,35 @@ def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _numeric_format(column) -> str | None:
+    """The ``%`` format of a column that is a ``range`` or a numpy integer or
+    float array (what its cells would read as through ``str`` or ``.10g``),
+    or None for any other column."""
+    if isinstance(column, range):
+        return "%d"
+    if isinstance(column, np.ndarray):
+        return {"i": "%d", "u": "%d", "f": "%.10g"}.get(column.dtype.kind)
+    return None
+
+
 def write_table(path, columns: dict) -> None:
     """Write a CSV file whose header is the keys of ``columns`` and whose
     columns are its values, which must all have one length. A numpy column
     is read through ``tolist``. Python floats are written as ``.10g`` (NaN as
-    ``nan``); every other value with ``str``.
+    ``nan``); every other value with ``str``. A table of numeric columns only
+    (``_numeric_format``) is written one ``%`` format per row, which gives
+    the same bytes, since no number needs quoting.
     """
-    cells = [
-        [f"{v:.10g}" if isinstance(v, float) else str(v) for v in column]
-        for column in (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
-    ]
+    formats = [_numeric_format(c) for c in columns.values()]
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
+        if None not in formats:
+            row = ",".join(formats) + "\r\n"
+            fh.write("".join(row % cells for cells in zip(*lists, strict=True)))
+            return
+        cells = [[f"{v:.10g}" if isinstance(v, float) else str(v) for v in c] for c in lists]
         writer.writerows(zip(*cells, strict=True))
 
 

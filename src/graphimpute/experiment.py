@@ -245,9 +245,11 @@ def prepare_split(cfg: RunConfig, ds: Dataset) -> SplitDataset:
 def _latents(
     params: ModelParams,
     train_ds: Dataset,
-    test_visible: Dataset | None = None,
+    test_visible: Dataset | None,
+    patient_rows: slice,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Patient and event latents after message passing on the train graph.
+    """Latents of the patients in `patient_rows` (train rows first, then
+    test) and of all events after message passing on the train graph.
 
     Test patients, if given, join after the train patients through their
     visible positives. Demographics are standardized with train statistics.
@@ -259,7 +261,7 @@ def _latents(
     pairs = np.concatenate([d.positives + [start, 0] for d, start in zip(cohort, starts)])
     g = build(pairs, int(starts[-1]), train_ds.num_events)
     p0 = encode_patients(params, demo)
-    return message_pass(params, g, p0, params.event_embeddings)
+    return message_pass(params, g, p0, params.event_embeddings, patient_rows=patient_rows)
 
 
 def score_test_grid(
@@ -271,8 +273,9 @@ def score_test_grid(
     positives; train patients stay present so event neighborhoods keep their
     train context.
     """
-    p_lat, e_lat = _latents(params, train_ds, test_visible)
-    return score_grid(params, p_lat[train_ds.num_patients :], e_lat)
+    test_rows = slice(train_ds.num_patients, None)
+    p_lat, e_lat = _latents(params, train_ds, test_visible, test_rows)
+    return score_grid(params, p_lat, e_lat)
 
 
 def imputer_score_grid(
@@ -415,8 +418,13 @@ def run_evaluate(
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
     for a fixed config. The scoring time is the `score` stage of the
-    `evaluate` entry in the run's `telemetry.json`.
+    `evaluate` entry in the run's `telemetry.json`. A fixed cutoff that is
+    not a number in [0, 1] is refused before anything is written: scores are
+    probabilities, so under any other cutoff, or nan, every prediction is the
+    same.
     """
+    if not 0.0 <= fixed_cutoff <= 1.0:
+        raise ConfigError(f"--cutoff (fixed_cutoff) must lie in [0, 1], got {fixed_cutoff}")
     run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
     with run.stage("data"):
         if sd is None:
@@ -553,7 +561,7 @@ def run_export_embeddings(cfg: RunConfig, run_dir, checkpoint_path) -> None:
         sd = prepare_split(cfg, prepare_dataset(cfg))
         params = _checked_checkpoint(cfg, checkpoint_path, sd)
     with run.stage("embed"):
-        e_lat = _latents(params, sd.train)[1]
+        e_lat = _latents(params, sd.train, None, slice(0))[1]
     with run.stage("write"):
         export_event_embeddings(
             e_lat,

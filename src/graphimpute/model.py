@@ -37,6 +37,11 @@ PROB_EPS = 1e-15
 # took 29-32 ms at 8 rows, 30-33 at 4, 34-38 at 16 and 37-40 at 32 (one BLAS
 # thread, 2-vCPU host); the block's hidden units (1 MB there) are one buffer.
 GRID_BLOCK_ROWS = 8
+# Patient rows per `score_grid` epilogue (constant, sigmoid and clip in place):
+# the group's logits and its one scratch array stay in cache (250 KB each on a
+# 487-event grid), where one pass over the whole grid would need a grid-sized
+# scratch array and a pass per block would pay each call's overhead per block.
+GRID_GROUP_ROWS = 64
 # Pairs per `score_edges_raw` block: the event half is gathered and added into
 # the hidden units one block at a time, so its temporary is 2^16 x hidden
 # floats (16 MB at 32 units) rather than a second pairs x hidden array.
@@ -257,6 +262,7 @@ def message_pass(
     patient_init: np.ndarray,
     event_init: np.ndarray,
     trace: ForwardTrace | None = None,
+    patient_rows: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Latent embeddings after all rounds, from explicit initial features.
 
@@ -265,7 +271,16 @@ def message_pass(
     side aggregates first, (ae @ p) @ w_nbr_e, because its mean is the small
     side. If `trace` is given, the mean operators, each round's input states
     and event-side neighbor means, and the final latents are recorded into it.
+
+    The last round updates only the patients in `patient_rows` (all of them
+    by default), whose latents alone are returned, with the same bits as the
+    full pass's rows; the events still aggregate every patient. A trace needs
+    every row, so a trimmed slice with `trace` is a ValueError.
     """
+    every = range(patient_init.shape[0])
+    trimmed = every[patient_rows] != every
+    if trimmed and trace is not None:
+        raise ValueError("a traced pass updates every patient; patient_rows must keep all rows")
     ap, ae = mean_operators(g_visible)
     p, e = patient_init, event_init
     if trace is not None:
@@ -275,6 +290,8 @@ def message_pass(
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
         me = ae @ p
+        if idx == last and trimmed:
+            p, ap = p[patient_rows], ap[patient_rows]
         p_new = p @ layer.w_self_p + ap @ (e @ layer.w_nbr_p) + layer.b_p
         e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
         if idx < last:
@@ -334,21 +351,30 @@ def score_grid(
     w2 . max(left[i], -right[j]) + c_j, where c_j = w2 . right[j] + b2 is
     computed once per event. Each block of GRID_BLOCK_ROWS patients fills one
     reused (rows, hidden, events) buffer with a single broadcast maximum, whose
-    inner loop runs over the events. The logits match the pairwise scorer's
-    up to summation order (~1e-15).
+    inner loop runs over the events, and writes its logits into the grid; each
+    group of GRID_GROUP_ROWS patients then gets its constant, sigmoid and clip
+    in place. The logits match the pairwise scorer's up to summation order
+    (~1e-15).
     """
     left, right = _first_layer_halves(params, patient_latents, event_latents)
     neg_right = np.ascontiguousarray(-right.T)
     const = right @ params.scorer_w2 + params.scorer_b2
-    t = patient_latents.shape[0]
-    out = np.empty((t, neg_right.shape[1]))
+    t, n = patient_latents.shape[0], neg_right.shape[1]
+    out = np.empty((t, n))
     buf = np.empty((min(GRID_BLOCK_ROWS, t), *neg_right.shape))
-    for start in range(0, t, GRID_BLOCK_ROWS):
-        stop = min(start + GRID_BLOCK_ROWS, t)
-        h = buf[: stop - start]
-        np.maximum(left[start:stop, :, None], neg_right, out=h)
-        out[start:stop] = _sigmoid(params.scorer_w2 @ h + const)
-    return np.clip(out, PROB_EPS, 1.0 - PROB_EPS, out=out)
+    scratch = np.empty((min(GRID_GROUP_ROWS, t), n))
+    for group in range(0, t, GRID_GROUP_ROWS):
+        group_stop = min(group + GRID_GROUP_ROWS, t)
+        for start in range(group, group_stop, GRID_BLOCK_ROWS):
+            stop = min(start + GRID_BLOCK_ROWS, group_stop)
+            h = buf[: stop - start]
+            np.maximum(left[start:stop, :, None], neg_right, out=h)
+            np.matmul(params.scorer_w2, h, out=out[start:stop])
+        x = out[group:group_stop]
+        x += const
+        _sigmoid(x, out=x, scratch=scratch[: group_stop - group])
+        np.clip(x, PROB_EPS, 1.0 - PROB_EPS, out=x)
+    return out
 
 
 def save_checkpoint(path, config: ModelConfig, params: ModelParams, split_sha256: str) -> None:

@@ -305,6 +305,29 @@ class TestPipeline:
         summary = json.loads((eval_dir / "graph_fixed_summary.json").read_text())
         assert summary["fixed_cutoff"] == 0.3
 
+    @pytest.mark.parametrize("cutoff", ["nan", "2", "-1"])
+    def test_cutoff_outside_unit_interval_exits_2(self, config_path, tmp_path, capsys, cutoff):
+        eval_dir = tmp_path / "eval"
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
+            "--imputer", "frequency", "--cutoff", cutoff,
+        ])
+        assert code == 2
+        assert "--cutoff" in capsys.readouterr().err
+        assert not eval_dir.exists()
+
+    def test_run_evaluate_refuses_non_finite_cutoff(self, config_path, tmp_path):
+        from graphimpute import experiment
+
+        cfg = experiment.load_config(config_path)
+        with pytest.raises(experiment.ConfigError, match="cutoff"):
+            experiment.run_evaluate(
+                cfg, tmp_path / "eval", imputer="frequency", fixed_cutoff=float("inf")
+            )
+        assert experiment.run_evaluate(
+            cfg, tmp_path / "eval", imputer="frequency", policies=("fixed",), fixed_cutoff=1.0
+        )["fixed"].fixed_cutoff == 1.0
+
     def test_knn_imputer_needs_no_checkpoint(self, config_path, tmp_path):
         eval_dir = tmp_path / "eval"
         assert main([

@@ -95,6 +95,20 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     grid = x[:4800].reshape(16, 300)
     assert np.array_equal(ds_mod._sigmoid(grid), _two_branch_sigmoid(grid))
     assert np.isnan(ds_mod._sigmoid(np.array([np.nan]))).all()
+    # the out= path: into a separate array, with and without scratch, and in
+    # place, where the scratch array's old contents must not matter
+    x = np.array([0.0, -0.0, 36.8, -36.8, 745.0, -745.0, np.inf, -np.inf, 0.3, -2.5, np.nan])
+    expected = ds_mod._sigmoid(x)
+    assert np.array_equal(expected[:-1].view(np.uint64), _two_branch_sigmoid(x[:-1]).view(np.uint64))
+    out = np.full_like(x, 7.0)
+    assert ds_mod._sigmoid(x, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    got = ds_mod._sigmoid(x, out=np.empty_like(x), scratch=np.full_like(x, -3.0))
+    assert got.tobytes() == expected.tobytes()
+    y = x.reshape(1, -1).copy()
+    assert ds_mod._sigmoid(y, out=y, scratch=np.full(y.shape, np.nan)) is y
+    assert y.tobytes() == expected.tobytes() and np.isnan(y[0, -1])
+
 
 class TestLoadTriplets:
     def test_duplicate_collapse_and_reindexing(self, tmp_path):
@@ -167,6 +181,40 @@ class TestLoadTriplets:
         )
         with pytest.raises(ValueError):
             write_table(path, {"a": [1, 2], "b": [1]})
+
+    def test_write_table_numeric_rows_match_generic_path(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1 / 3, 1e17])
+        ints = np.array([-5, 0, 3, -(2**62), 7, 2**40, -1], dtype=np.int64)
+        numeric = {
+            "row": range(-3, 4),
+            "value": floats,
+            "count": ints,
+            "single": floats.astype(np.float32),
+            "unsigned": np.arange(7, dtype=np.uint8),
+        }
+        assert None not in [ds_mod._numeric_format(c) for c in numeric.values()]
+        write_table(tmp_path / "fast.csv", numeric)
+        # lists of Python numbers take the per-cell csv.writer path
+        write_table(tmp_path / "slow.csv", {k: list(np.asarray(c).tolist()) for k, c in numeric.items()})
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "slow.csv").read_bytes()
+        assert fast == (
+            b"row,value,count,single,unsigned\r\n"
+            b"-3,nan,-5,nan,0\r\n"
+            b"-2,inf,0,inf,1\r\n"
+            b"-1,-inf,3,-inf,2\r\n"
+            b"0,-0,-4611686018427387904,-0,3\r\n"
+            b"1,1e-300,7,0,4\r\n"
+            b"2,0.3333333333,1099511627776,0.3333333433,5\r\n"
+            b"3,1e+17,-1,9.999999843e+16,6\r\n"
+        )
+        # bool and str arrays keep str() and csv quoting
+        write_table(tmp_path / "t.csv", {"flag": np.array([True, False]), "name": np.array(["a,b", "c"])})
+        assert (tmp_path / "t.csv").read_bytes() == b'flag,name\r\nTrue,"a,b"\r\nFalse,c\r\n'
+        write_table(tmp_path / "t.csv", {"a": np.array([]), "b": range(0)})
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", {"a": np.zeros(2), "b": range(1)})
 
     def test_write_json_sorted_with_final_newline(self, tmp_path):
         write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]})

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit
 
+from conftest import random_bipartite
 from graphimpute import model
 from graphimpute.dataset import Dataset
 from graphimpute.graph import build
@@ -231,6 +232,28 @@ class TestMessagePass:
         )
         assert np.all(np.isfinite(p)) and np.all(np.isfinite(e))
 
+    @pytest.mark.parametrize(
+        "rows", [slice(230, None), slice(0), slice(None), slice(0, 300)], ids=["tail", "empty", "all", "all-explicit"]
+    )
+    def test_patient_rows_keep_the_full_pass_rows(self, rows):
+        rng = np.random.default_rng(33)
+        g = build(random_bipartite(rng, 300, 40, 0.1), 300, 40)
+        params = init_params(_small_config(embedding_dim=16, num_layers=3), num_events=40, seed=34)
+        p0, e0 = rng.normal(size=(300, 16)), params.event_embeddings
+        p_full, e_full = message_pass(params, g, p0, e0)
+        p, e = message_pass(params, g, p0, e0, patient_rows=rows)
+        assert p.tobytes() == p_full[rows].tobytes() and p.shape == p_full[rows].shape
+        assert e.tobytes() == e_full.tobytes()
+
+    def test_trimmed_patient_rows_refuse_a_trace(self, tiny_graph):
+        params = init_params(_small_config(), num_events=5, seed=35)
+        p0 = np.random.default_rng(36).normal(size=(6, 4))
+        with pytest.raises(ValueError, match="patient_rows"):
+            message_pass(params, tiny_graph, p0, params.event_embeddings, model.ForwardTrace(), slice(3, None))
+        trace = model.ForwardTrace()
+        message_pass(params, tiny_graph, p0, params.event_embeddings, trace, slice(0, 6))
+        assert trace.patient_states[-1].shape == (6, 4)
+
 
 class TestScorer:
     def test_zero_weights_give_half(self):
@@ -296,6 +319,31 @@ class TestScorer:
         monkeypatch.setattr(model, "GRID_BLOCK_ROWS", 128)
         assert np.array_equal(grid, score_grid(params, p_lat, e_lat))
 
+    @pytest.mark.parametrize("block_rows, group_rows", [(1, 64), (4, 12), (8, 64), (128, 64)])
+    def test_grid_matches_block_loop_with_separate_sigmoid(self, monkeypatch, block_rows, group_rows):
+        # the block loop before the in-place epilogue: a new logit array per
+        # block, then the constant, a sigmoid into new arrays and the clip
+        def reference(params, p_lat, e_lat):
+            left, right = model._first_layer_halves(params, p_lat, e_lat)
+            neg_right = np.ascontiguousarray(-right.T)
+            const = right @ params.scorer_w2 + params.scorer_b2
+            out = np.empty((len(p_lat), len(e_lat)))
+            for start in range(0, len(p_lat), block_rows):
+                h = np.maximum(left[start : start + block_rows, :, None], neg_right)
+                x = params.scorer_w2 @ h + const
+                ex = np.exp(-np.abs(x))
+                out[start : start + block_rows] = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+            return np.clip(out, model.PROB_EPS, 1.0 - model.PROB_EPS)
+
+        rng = np.random.default_rng(22)
+        params = init_params(_small_config(embedding_dim=6, scorer_hidden=5), num_events=37, seed=23)
+        # 149 rows: ragged last blocks and groups; at scale 20 many logits saturate
+        for scale in (1.0, 20.0):
+            p_lat, e_lat = rng.normal(size=(149, 6)) * scale, rng.normal(size=(37, 6)) * scale
+            monkeypatch.setattr(model, "GRID_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(model, "GRID_GROUP_ROWS", group_rows)
+            assert score_grid(params, p_lat, e_lat).tobytes() == reference(params, p_lat, e_lat).tobytes()
+
     @pytest.mark.parametrize("scale", [1, 50])
     def test_grid_matches_dense_reference(self, scale):
         # integer latents and first-layer weights make both halves exact, so
@@ -321,9 +369,10 @@ class TestScorer:
     def test_grid_peak_allocation_is_bounded(self):
         import tracemalloc
 
-        # the grid, one block of hidden units and a few arrays the size of the
-        # first-layer halves; a per-block temporary of the block's size fails
-        t, n, hidden = 200, 100, 32
+        # the grid, one block of hidden units, one epilogue group's scratch and
+        # a few arrays the size of the first-layer halves; a second grid-sized
+        # array (a whole-grid sigmoid's temporary) fails
+        t, n, hidden = 2000, 100, 4
         rng = np.random.default_rng(20)
         params = init_params(_small_config(scorer_hidden=hidden), num_events=n, seed=21)
         p_lat, e_lat = rng.normal(size=(t, 4)), rng.normal(size=(n, 4))
@@ -334,7 +383,12 @@ class TestScorer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 8 * (t * n + model.GRID_BLOCK_ROWS * hidden * n + 4 * (t + n) * hidden)
+        bound = 8 * (
+            t * n
+            + model.GRID_BLOCK_ROWS * hidden * n
+            + model.GRID_GROUP_ROWS * n
+            + 4 * (t + n) * hidden
+        )
         assert peak <= bound
 
     def test_scores_strictly_inside_unit_interval(self):
