@@ -545,8 +545,9 @@ def _sigmoid(
     # exp(-|x|) lies in [0, 1], so max(exp(-|x|), x >= 0) is the numerator
     # exactly: 1 where x >= 0, exp(x) elsewhere (nan stays nan).
     num = np.empty(np.shape(x)) if scratch is None else scratch
+    ex = np.empty(np.shape(x)) if out is None else out
     np.greater_equal(x, 0.0, out=num)
-    ex = np.copysign(x, -1.0, out=out)
+    np.copysign(x, -1.0, out=ex)
     np.exp(ex, out=ex)
     np.maximum(ex, num, out=num)
     ex += 1.0
