@@ -195,7 +195,7 @@ class TestLoadTriplets:
         assert None not in [ds_mod._numeric_format(c) for c in numeric.values()]
         write_table(tmp_path / "fast.csv", numeric)
         # lists of Python numbers take the per-cell csv.writer path
-        write_table(tmp_path / "slow.csv", {k: list(np.asarray(c).tolist()) for k, c in numeric.items()})
+        write_table(tmp_path / "slow.csv", {k: np.asarray(c).tolist() for k, c in numeric.items()})
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
         assert fast == (

@@ -370,26 +370,27 @@ class TestScorer:
         import tracemalloc
 
         # the grid, one block of hidden units, one epilogue group's scratch and
-        # a few arrays the size of the first-layer halves; a second grid-sized
-        # array (a whole-grid sigmoid's temporary) fails
-        t, n, hidden = 2000, 100, 4
-        rng = np.random.default_rng(20)
-        params = init_params(_small_config(scorer_hidden=hidden), num_events=n, seed=21)
-        p_lat, e_lat = rng.normal(size=(t, 4)), rng.normal(size=(n, 4))
-        score_grid(params, p_lat, e_lat)
-        tracemalloc.start()
-        try:
+        # a few arrays the size of the first-layer halves; a second temporary
+        # the size of a block's hidden units fails at 32 units, and a second
+        # grid-sized array (a whole-grid sigmoid's temporary) at 2000 rows
+        for t, n, hidden in ((200, 100, 32), (2000, 100, 4)):
+            rng = np.random.default_rng(20)
+            params = init_params(_small_config(scorer_hidden=hidden), num_events=n, seed=21)
+            p_lat, e_lat = rng.normal(size=(t, 4)), rng.normal(size=(n, 4))
             score_grid(params, p_lat, e_lat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = 8 * (
-            t * n
-            + model.GRID_BLOCK_ROWS * hidden * n
-            + model.GRID_GROUP_ROWS * n
-            + 4 * (t + n) * hidden
-        )
-        assert peak <= bound
+            tracemalloc.start()
+            try:
+                score_grid(params, p_lat, e_lat)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 8 * (
+                t * n
+                + model.GRID_BLOCK_ROWS * hidden * n
+                + model.GRID_GROUP_ROWS * n
+                + 4 * (t + n) * hidden
+            )
+            assert peak <= bound, (t, n, hidden)
 
     def test_scores_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(16)
