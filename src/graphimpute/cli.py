@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--checkpoint", default=None, help="checkpoint file (required for the graph imputer)")
     p.add_argument("--imputer", choices=("graph", "knn", "frequency"), default="graph")
-    p.add_argument("--policy", choices=("fixed", "train_frequency", "both"), default="both")
+    p.add_argument("--policy", choices=("fixed", "train_frequency", "both"), default=None,
+                   help="cutoff policy (default: both, or fixed when --cutoff is given)")
     p.add_argument("--cutoff", type=float, default=None, help="fixed cutoff value; implies --policy fixed")
     p.add_argument("--knn-k", type=int, default=None)
     p.set_defaults(func=_cmd_evaluate)
@@ -143,6 +144,10 @@ def _cmd_train(args, exp, cfg, run_dir) -> int:
 
 
 def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
+    if args.cutoff is not None and args.policy not in (None, "fixed"):
+        raise exp.ConfigError(
+            f"--cutoff sets the fixed policy's cutoff and cannot be used with --policy {args.policy}"
+        )
     if args.cutoff is not None or args.policy == "fixed":
         policies = ("fixed",)
     elif args.policy == "train_frequency":

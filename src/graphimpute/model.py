@@ -210,12 +210,16 @@ def encode_patients(params: ModelParams, demographics: np.ndarray) -> np.ndarray
     return np.maximum(demographics @ params.encoder_weight + params.encoder_bias, 0.0)
 
 
-def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csc_matrix]:
     """Row-normalized neighbor-mean operators (patient side m x n, event side n x m).
 
-    The event side is the transpose of the patient CSR with each column
-    scaled by its event's inverse degree. Rows of isolated nodes are empty,
-    realizing the zero-vector rule for empty neighborhoods.
+    Both share the patient CSR's structure, so no product needs a format
+    conversion. The event side is the transpose view (CSC) of that CSR with
+    each column scaled by its event's inverse degree: a product with it
+    streams the patient rows, and its own `.T` is the patient-row CSR again.
+    Each output row still sums its neighbors in ascending order. Rows of
+    isolated nodes are empty, realizing the zero-vector rule for empty
+    neighborhoods.
     """
     deg_p = g.patient_degrees()
     deg_e = g.event_degrees()
@@ -227,7 +231,7 @@ def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     )
     ae = sp.csr_matrix(
         (inv_e[g.patient_indices], g.patient_indices, g.patient_indptr), shape=shape
-    ).T.tocsr()
+    ).T
     return ap, ae
 
 
@@ -239,13 +243,15 @@ class ForwardTrace:
     rectifier's derivative is read off its output (positive exactly where its
     input was), so pre-activations are not kept. The patient side's neighbor
     mean is never formed (see `message_pass`), so only the event side's is kept.
+    The event-side operator is the CSC view that `mean_operators` returns; its
+    `.T` is the patient-row CSR the backward gathers through.
     """
 
     patient_states: list[np.ndarray] = field(default_factory=list)
     event_states: list[np.ndarray] = field(default_factory=list)
     event_means: list[np.ndarray] = field(default_factory=list)
     agg_patient: sp.csr_matrix | None = None
-    agg_event: sp.csr_matrix | None = None
+    agg_event: sp.csc_matrix | None = None
 
 
 def forward_trace(
@@ -294,11 +300,16 @@ def message_pass(
         me = ae @ p
         if idx == last and trimmed:
             p, ap = p[patient_rows], ap[patient_rows]
-        p_new = p @ layer.w_self_p + ap @ (e @ layer.w_nbr_p) + layer.b_p
-        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
+        # summed in place, left to right: p @ w_self + ap @ (e @ w_nbr) + b
+        p_new = p @ layer.w_self_p
+        p_new += ap @ (e @ layer.w_nbr_p)
+        p_new += layer.b_p
+        e_new = e @ layer.w_self_e
+        e_new += me @ layer.w_nbr_e
+        e_new += layer.b_e
         if idx < last:
-            p_new = np.maximum(p_new, 0.0)
-            e_new = np.maximum(e_new, 0.0)
+            np.maximum(p_new, 0.0, out=p_new)
+            np.maximum(e_new, 0.0, out=e_new)
         p, e = p_new, e_new
         if trace is not None:
             trace.event_means.append(me)

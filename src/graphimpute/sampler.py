@@ -75,7 +75,7 @@ def sample_invisible(g: BipartiteGraph, p: float, seed) -> tuple[np.ndarray, np.
     rng = np.random.default_rng(seed)
     edges = g.all_edges()
     mask = rng.random(len(edges)) < p
-    return edges[mask], edges[~mask]
+    return np.compress(mask, edges, axis=0), np.compress(~mask, edges, axis=0)
 
 
 def sample_negative_degree_preserving(

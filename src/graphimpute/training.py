@@ -131,20 +131,29 @@ def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_lat
 
     `h` holds the forward's rectified hidden units and is consumed: once
     `scorer.w2`'s gradient is read off it, the rectifier's mask is written
-    into its memory. Sparse incidence products whose entries are `dlogit` sum
-    the masked units over each node's pairs, and `w2` scales those per-node
-    sums; the first layer's halves then multiply them, so no pairs x 2d matrix
-    is formed. Every pair has exactly one event, so `scorer.b1`'s gradient is
-    the sum of the per-event terms.
+    into its memory. One (patients + events) x pairs incidence product, whose
+    column per pair holds `dlogit` at its patient's row and its event's row,
+    sums the masked units over each node's pairs in one read of the mask, and
+    `w2` scales those per-node sums; the first layer's halves then multiply
+    them, so no pairs x 2d matrix is formed. The matrix is built in CSC form
+    as it stands, two entries per column, with no sort. Every pair has exactly
+    one event, so `scorer.b1`'s gradient is the sum of the per-event terms.
     """
     grads["scorer.w2"] = h.T @ dlogit
     grads["scorer.b2"] = dlogit.sum()
     mask = np.greater(h, 0.0, out=h)
-    rows = np.arange(len(pairs))
-    to_p = sp.csr_matrix((dlogit, (pairs[:, 0], rows)), shape=(len(patient_latents), len(pairs)))
-    to_e = sp.csr_matrix((dlogit, (pairs[:, 1], rows)), shape=(len(event_latents), len(pairs)))
-    dhp = (to_p @ mask) * params.scorer_w2
-    dhe = (to_e @ mask) * params.scorer_w2
+    m, k = len(patient_latents), len(pairs)
+    shape = (m + len(event_latents), k)
+    # index arrays in the dtype scipy would pick, so that it keeps them
+    # rather than holding a converted copy next to them
+    index = np.int32 if max(*shape, 2 * k) <= np.iinfo(np.int32).max else np.int64
+    nodes = np.add(pairs, [0, m], out=np.empty(pairs.shape, dtype=index), casting="unsafe")
+    incidence = sp.csc_matrix(
+        (np.repeat(dlogit, 2), nodes.ravel(), np.arange(0, 2 * k + 1, 2, dtype=index)),
+        shape=shape,
+    )
+    sums = (incidence @ mask) * params.scorer_w2
+    dhp, dhe = sums[:m], sums[m:]
     grads["scorer.b1"] = dhe.sum(axis=0)
     grads["scorer.w1"] = np.concatenate([patient_latents.T @ dhp, event_latents.T @ dhe])
     d = patient_latents.shape[1]
@@ -189,8 +198,8 @@ def backward(
     for idx in range(last, -1, -1):
         layer = params.layers[idx]
         if idx < last:
-            d_p = d_p * (trace.patient_states[idx + 1] > 0)
-            d_e = d_e * (trace.event_states[idx + 1] > 0)
+            np.multiply(d_p, trace.patient_states[idx + 1] > 0, out=d_p)
+            np.multiply(d_e, trace.event_states[idx + 1] > 0, out=d_e)
         # The patient neighbor term is ap @ (e @ w_nbr_p); the adjoint of its
         # aggregation serves both w_nbr_p's gradient and the event adjoint.
         s = ap_t @ d_p

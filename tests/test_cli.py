@@ -316,6 +316,34 @@ class TestPipeline:
         assert "--cutoff" in capsys.readouterr().err
         assert not eval_dir.exists()
 
+    @pytest.mark.parametrize("policy", ["train_frequency", "both"])
+    def test_cutoff_with_other_policy_exits_2(self, config_path, tmp_path, capsys, policy):
+        # the requested policy used to be dropped without a word
+        eval_dir = tmp_path / "eval"
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
+            "--imputer", "frequency", "--policy", policy, "--cutoff", "0.3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--cutoff" in err and f"--policy {policy}" in err
+        assert not eval_dir.exists()
+
+    def test_cutoff_with_fixed_policy_and_default_policies(self, config_path, tmp_path):
+        fixed_dir, both_dir = tmp_path / "fixed", tmp_path / "both"
+        assert main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(fixed_dir),
+            "--imputer", "frequency", "--policy", "fixed", "--cutoff", "0.3",
+        ]) == 0
+        assert (fixed_dir / "frequency_fixed_per_event.csv").exists()
+        assert not (fixed_dir / "frequency_train_frequency_per_event.csv").exists()
+        assert main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(both_dir),
+            "--imputer", "frequency",
+        ]) == 0
+        assert (both_dir / "frequency_fixed_per_event.csv").exists()
+        assert (both_dir / "frequency_train_frequency_per_event.csv").exists()
+
     def test_run_evaluate_refuses_non_finite_cutoff(self, config_path, tmp_path):
         from graphimpute import experiment
 

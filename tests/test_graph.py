@@ -8,8 +8,9 @@ from graphimpute.model import mean_operators
 
 
 def event_neighbors(g, event):
-    """Patients adjacent to the event, read off the event-side mean operator."""
-    ae = mean_operators(g)[1]
+    """Patients adjacent to the event, read off the event-side mean operator
+    (a CSC view of the patient rows, so read through its event-row CSR)."""
+    ae = mean_operators(g)[1].tocsr()
     return ae.indices[ae.indptr[event] : ae.indptr[event + 1]]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.special import expit
 
 from conftest import random_bipartite
@@ -97,6 +98,50 @@ class TestMeanOperators:
         x = np.ones((2, 3))
         assert np.array_equal((ap @ x)[1], np.zeros(3))
         assert np.array_equal((ae @ np.ones((3, 3)))[1], np.zeros(3))
+
+    def test_event_view_products_match_the_event_row_csr(self):
+        # isolated patients and events, and rows of every length up to dense
+        rng = np.random.default_rng(41)
+        pairs = random_bipartite(rng, 200, 60, 0.2)
+        pairs = pairs[(pairs[:, 0] % 17 != 3) & (pairs[:, 1] % 11 != 5)]
+        g = build(pairs, 200, 60)
+        ae, csr = mean_operators(g)[1], _csr_event_operator(g)
+        x, y = rng.normal(size=(200, 7)), rng.normal(size=(60, 7))
+        assert ae.shape == csr.shape == (60, 200)
+        assert _bytes_equal(ae @ x, csr @ x)
+        assert _bytes_equal(ae.T @ y, csr.T @ y)
+
+
+def _csr_event_operator(g):
+    """The event-side mean operator as an explicit event-row CSR, as it was
+    built before it became a view: the transpose converted with `.tocsr()`."""
+    deg_e = g.event_degrees()
+    inv_e = np.divide(1.0, deg_e, out=np.zeros(len(deg_e)), where=deg_e > 0)
+    shape = (g.num_patients, g.num_events)
+    return sp.csr_matrix(
+        (inv_e[g.patient_indices], g.patient_indices, g.patient_indptr), shape=shape
+    ).T.tocsr()
+
+
+def _csr_event_message_pass(params, g, p, e, patient_rows=slice(None)):
+    """`message_pass` as it was before it streamed the patient CSR: the
+    event-row CSR operator and one fresh array per term."""
+    ap, ae = mean_operators(g)[0], _csr_event_operator(g)
+    last = len(params.layers) - 1
+    for idx, layer in enumerate(params.layers):
+        me = ae @ p
+        if idx == last:
+            p, ap = p[patient_rows], ap[patient_rows]
+        p_new = p @ layer.w_self_p + ap @ (e @ layer.w_nbr_p) + layer.b_p
+        e_new = e @ layer.w_self_e + me @ layer.w_nbr_e + layer.b_e
+        if idx < last:
+            p_new, e_new = np.maximum(p_new, 0.0), np.maximum(e_new, 0.0)
+        p, e = p_new, e_new
+    return p, e
+
+
+def _bytes_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestEncode:
@@ -244,6 +289,16 @@ class TestMessagePass:
         p, e = message_pass(params, g, p0, e0, patient_rows=rows)
         assert p.tobytes() == p_full[rows].tobytes() and p.shape == p_full[rows].shape
         assert e.tobytes() == e_full.tobytes()
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(230, None), slice(0)], ids=["all", "tail", "empty"])
+    def test_same_bytes_as_the_event_row_csr_pass(self, rows):
+        rng = np.random.default_rng(37)
+        g = build(random_bipartite(rng, 300, 40, 0.1), 300, 40)
+        params = init_params(_small_config(embedding_dim=16, num_layers=3), num_events=40, seed=38)
+        p0, e0 = rng.normal(size=(300, 16)), params.event_embeddings
+        got = message_pass(params, g, p0, e0, patient_rows=rows)
+        expect = _csr_event_message_pass(params, g, p0, e0, patient_rows=rows)
+        assert _bytes_equal(got[0], expect[0]) and _bytes_equal(got[1], expect[1])
 
     def test_trimmed_patient_rows_refuse_a_trace(self, tiny_graph):
         params = init_params(_small_config(), num_events=5, seed=35)

@@ -99,6 +99,16 @@ class TestSampleInvisible:
             inv, _ = sample_invisible(g, 0.2, seed=seed)
             assert abs(len(inv) - 0.2 * k) <= 4 * sigma
 
+    @pytest.mark.parametrize("m, density, p", [(300, 0.1, 0.3), (5, 0.0, 0.5), (40, 0.5, 1e-12)])
+    def test_same_bytes_as_boolean_indexing(self, m, density, p):
+        # the split as it was written before np.compress: edges[mask], edges[~mask]
+        g = _random_graph(np.random.default_rng(m), m, 20, density)
+        edges = g.all_edges()
+        mask = np.random.default_rng(7).random(len(edges)) < p
+        for got, expect in zip(sample_invisible(g, p, seed=7), (edges[mask], edges[~mask])):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
     def test_deterministic(self, tiny_graph):
         a = sample_invisible(tiny_graph, 0.3, seed=9)
         b = sample_invisible(tiny_graph, 0.3, seed=9)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphimpute import training
 from graphimpute.dataset import generate_synthetic, write_dataset
@@ -184,6 +185,43 @@ class TestScorerGradients:
         np.testing.assert_allclose(d_e, ref_e, rtol=0, atol=1e-12)
 
 
+def _two_csr_scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_latents):
+    """`_scorer_backward` as it was before its one incidence product: a
+    patient and an event incidence CSR, each built from COO triplets."""
+    grads["scorer.w2"] = h.T @ dlogit
+    grads["scorer.b2"] = dlogit.sum()
+    mask = np.greater(h, 0.0, out=h)
+    rows = np.arange(len(pairs))
+    to_p = sp.csr_matrix((dlogit, (pairs[:, 0], rows)), shape=(len(patient_latents), len(pairs)))
+    to_e = sp.csr_matrix((dlogit, (pairs[:, 1], rows)), shape=(len(event_latents), len(pairs)))
+    dhp = (to_p @ mask) * params.scorer_w2
+    dhe = (to_e @ mask) * params.scorer_w2
+    grads["scorer.b1"] = dhe.sum(axis=0)
+    grads["scorer.w1"] = np.concatenate([patient_latents.T @ dhp, event_latents.T @ dhe])
+    d = patient_latents.shape[1]
+    return dhp @ params.scorer_w1[:d].T, dhe @ params.scorer_w1[d:].T
+
+
+class TestScorerBackwardBits:
+    @pytest.mark.parametrize("k", [1, 5, 800])
+    def test_same_bytes_as_two_incidence_csrs(self, k):
+        # k pairs over 30 x 12 nodes: a single pair, then repeated patients
+        # and events; patient 29 and event 11 are in no pair
+        rng = np.random.default_rng(k)
+        m, n = 30, 12
+        params = init_params(ModelConfig(embedding_dim=6, num_layers=1, scorer_hidden=5), n, seed=k)
+        p_lat, e_lat = rng.normal(size=(m, 6)), rng.normal(size=(n, 6))
+        pairs = rng.integers(0, [m - 1, n - 1], size=(k, 2))
+        _, h = score_edges_raw(params, p_lat, e_lat, pairs)
+        dlogit = rng.normal(size=k) / k
+        got, expect = {}, {}
+        adjoints = training._scorer_backward(params, pairs, h.copy(), dlogit, got, p_lat, e_lat)
+        ref = _two_csr_scorer_backward(params, pairs, h, dlogit, expect, p_lat, e_lat)
+        assert got.keys() == expect.keys()
+        for a, b in [*zip(adjoints, ref), *((got[key], expect[key]) for key in expect)]:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         config = ModelConfig(embedding_dim=3, num_layers=1, scorer_hidden=2)
@@ -345,3 +383,39 @@ class TestFit:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert float(out.stdout) < 100
+
+    def test_benchmark_fit_digest(self):
+        # parameters and losses after 20 epochs on the benchmark instance
+        # (cohort seed 101, split seed 5, train seed 11, the acceptance config),
+        # as trained when the event-side mean operator was an explicit CSR and
+        # the scorer backward used two incidence matrices; one BLAS thread in
+        # a fresh process, since a threaded BLAS may sum in another order
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from graphimpute.dataset import SplitSpec, filter_rare_events, generate_synthetic, split\n"
+            "from graphimpute.model import ModelConfig\n"
+            "from graphimpute.training import TrainConfig, fit\n"
+            "ds, _ = generate_synthetic(5000, 500, 10, 0.02, seed=101)\n"
+            "filtered, emap = filter_rare_events(ds, 0.001)\n"
+            "sd = split(filtered, SplitSpec(0.7, 0.3, 0.001, seed=5), event_index_map=emap)\n"
+            "for sampler in ('degree_preserving', 'uniform'):\n"
+            "    state = fit(sd.train, ModelConfig(embedding_dim=32, num_layers=3, scorer_hidden=32),\n"
+            "                TrainConfig(learning_rate=0.02, mask_probability=0.3, epochs=20,\n"
+            "                            warmup_epochs=100, seed=11, negative_sampler=sampler))\n"
+            "    h = hashlib.sha256()\n"
+            "    for _, tensor in state.params.named_tensors():\n"
+            "        h.update(tensor.tobytes())\n"
+            "    h.update(np.array(state.loss_history).tobytes())\n"
+            "    print(h.hexdigest())\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        threads = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, "PYTHONPATH": src, **threads}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == [
+            "db5a301e420d5ababecb68763d9da69d236ff30ccebc44c78c8ad133ee6660fd",
+            "49cff144076435e018284a97d5832d0bfe9295988eca7c2706e485d35e07e654",
+        ]
