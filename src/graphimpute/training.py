@@ -135,8 +135,8 @@ def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_lat
     column per pair holds `dlogit` at its patient's row and its event's row,
     sums the masked units over each node's pairs in one read of the mask, and
     `w2` scales those per-node sums; the first layer's halves then multiply
-    them, so no pairs x 2d matrix is formed. The matrix is built in CSC form
-    as it stands, two entries per column, with no sort. Every pair has exactly
+    them, so no pairs x 2d matrix is formed. The matrix is built directly in
+    CSC form, two entries per column, with no sort. Every pair has exactly
     one event, so `scorer.b1`'s gradient is the sum of the per-event terms.
     """
     grads["scorer.w2"] = h.T @ dlogit
