@@ -81,37 +81,6 @@ def _dense_reference(params, config, g, p0, e0):
     return p, e
 
 
-class TestMeanOperators:
-    def test_rows_average_neighbors(self, tiny_graph):
-        ap, ae = mean_operators(tiny_graph)
-        e0 = np.arange(5, dtype=float)[:, None]
-        # patient 0 has events {0, 2} -> mean 1.0
-        assert ap.shape == (6, 5)
-        assert (ap @ e0)[0, 0] == pytest.approx(1.0)
-        p0 = np.arange(6, dtype=float)[:, None]
-        # event 3 has patients {1, 2} -> mean 1.5
-        assert (ae @ p0)[3, 0] == pytest.approx(1.5)
-
-    def test_isolated_rows_are_zero(self):
-        g = build(np.array([[0, 0]]), 3, 2)
-        ap, ae = mean_operators(g)
-        x = np.ones((2, 3))
-        assert np.array_equal((ap @ x)[1], np.zeros(3))
-        assert np.array_equal((ae @ np.ones((3, 3)))[1], np.zeros(3))
-
-    def test_event_view_products_match_the_event_row_csr(self):
-        # isolated patients and events, and rows of every length up to dense
-        rng = np.random.default_rng(41)
-        pairs = random_bipartite(rng, 200, 60, 0.2)
-        pairs = pairs[(pairs[:, 0] % 17 != 3) & (pairs[:, 1] % 11 != 5)]
-        g = build(pairs, 200, 60)
-        ae, csr = mean_operators(g)[1], _csr_event_operator(g)
-        x, y = rng.normal(size=(200, 7)), rng.normal(size=(60, 7))
-        assert ae.shape == csr.shape == (60, 200)
-        assert _bytes_equal(ae @ x, csr @ x)
-        assert _bytes_equal(ae.T @ y, csr.T @ y)
-
-
 def _csr_event_operator(g):
     """The event-side mean operator as an explicit event-row CSR, as it was
     built before it became a view: the transpose converted with `.tocsr()`."""
@@ -142,6 +111,37 @@ def _csr_event_message_pass(params, g, p, e, patient_rows=slice(None)):
 
 def _bytes_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMeanOperators:
+    def test_rows_average_neighbors(self, tiny_graph):
+        ap, ae = mean_operators(tiny_graph)
+        e0 = np.arange(5, dtype=float)[:, None]
+        # patient 0 has events {0, 2} -> mean 1.0
+        assert ap.shape == (6, 5)
+        assert (ap @ e0)[0, 0] == pytest.approx(1.0)
+        p0 = np.arange(6, dtype=float)[:, None]
+        # event 3 has patients {1, 2} -> mean 1.5
+        assert (ae @ p0)[3, 0] == pytest.approx(1.5)
+
+    def test_isolated_rows_are_zero(self):
+        g = build(np.array([[0, 0]]), 3, 2)
+        ap, ae = mean_operators(g)
+        x = np.ones((2, 3))
+        assert np.array_equal((ap @ x)[1], np.zeros(3))
+        assert np.array_equal((ae @ np.ones((3, 3)))[1], np.zeros(3))
+
+    def test_event_view_products_match_the_event_row_csr(self):
+        # isolated patients and events, and rows of every length up to dense
+        rng = np.random.default_rng(41)
+        pairs = random_bipartite(rng, 200, 60, 0.2)
+        pairs = pairs[(pairs[:, 0] % 17 != 3) & (pairs[:, 1] % 11 != 5)]
+        g = build(pairs, 200, 60)
+        ae, csr = mean_operators(g)[1], _csr_event_operator(g)
+        x, y = rng.normal(size=(200, 7)), rng.normal(size=(60, 7))
+        assert ae.shape == csr.shape == (60, 200)
+        assert _bytes_equal(ae @ x, csr @ x)
+        assert _bytes_equal(ae.T @ y, csr.T @ y)
 
 
 class TestEncode:
