@@ -1,32 +1,8 @@
 """Imputation of sparse unary patient-event matrices via bipartite message passing.
 
-Submodules are imported lazily so the CLI can configure thread counts
+Import the submodule you need (``graphimpute.experiment``, ``graphimpute.cli``,
+...). The package itself loads nothing, so the CLI can set thread counts
 before any numerical library loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "dataset",
-    "graph",
-    "sampler",
-    "model",
-    "training",
-    "evaluation",
-    "baselines",
-    "experiment",
-    "seeding",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

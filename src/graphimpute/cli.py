@@ -1,12 +1,14 @@
 """Command-line surface: generate, split, train, evaluate, compare-samplers,
 export-embeddings.
 
-Exit codes: 0 success, 1 runtime failure, 2 config or usage error. The
-worker flags (``--workers``; ``--deterministic`` forces a single thread) set
-the thread environment variables, which numpy's BLAS reads only when numpy
-loads. From the ``graphimpute`` command they take effect, because the CLI
-imports numpy after parsing its arguments; called in a process that has
-already imported numpy, they have no effect and the CLI says so on stderr.
+Exit codes: 0 success, 1 runtime failure, 2 config or usage error. A flag
+that overrides a config key has that key as its dotted ``dest`` (``--epochs``
+sets ``train.epochs``). The worker flags (``--workers``, or
+``--deterministic``, which forces a single thread; not both) set the thread
+environment variables, which numpy's BLAS reads only when numpy loads. From
+the ``graphimpute`` command they take effect, because the CLI imports numpy
+after parsing its arguments; called in a process that has already imported
+numpy, they have no effect and the CLI says so on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--run-dir", default=None, help="output directory (default: <output_dir>/<command>-<timestamp>-seed<seed>)")
     p.add_argument("--seed", type=int, default=None, help="override the top-level seed")
-    p.add_argument("--workers", type=int, default=None, help="cap numeric thread count (default: all cores)")
-    p.add_argument("--deterministic", action="store_true", help="single-threaded, reproducible reductions")
+    threads = p.add_mutually_exclusive_group()
+    threads.add_argument("--workers", type=int, default=None, help="cap numeric thread count (default: all cores)")
+    threads.add_argument("--deterministic", action="store_true", help="single-threaded, reproducible reductions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,11 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_common(p)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--mask-probability", type=float, default=None)
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--sampler", choices=("uniform", "degree_preserving"), default=None)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    p.add_argument("--mask-probability", dest="train.mask_probability", type=float)
+    p.add_argument("--embedding-dim", dest="model.embedding_dim", type=int)
+    p.add_argument("--sampler", dest="train.negative_sampler", help="overrides %(dest)s",
+                   choices=("uniform", "degree_preserving"))
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score the test grid and report metrics")
@@ -57,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("fixed", "train_frequency", "both"), default=None,
                    help="cutoff policy (default: both, or fixed when --cutoff is given)")
     p.add_argument("--cutoff", type=float, default=None, help="fixed cutoff value; implies --policy fixed")
-    p.add_argument("--knn-k", type=int, default=None)
+    p.add_argument("--knn-k", dest="knn.k_neighbors", type=int)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare-samplers", help="train under both negative samplers and profile the bias")
     _add_common(p)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
     p.set_defaults(func=_cmd_compare_samplers)
 
     p = sub.add_parser("export-embeddings", help="export message-passed event embeddings")
@@ -89,21 +93,7 @@ def _configure_threads(args) -> None:
 
 
 def _overrides(args) -> dict:
-    mapping = {
-        "seed": "seed",
-        "epochs": "train.epochs",
-        "learning_rate": "train.learning_rate",
-        "mask_probability": "train.mask_probability",
-        "embedding_dim": "model.embedding_dim",
-        "sampler": "train.negative_sampler",
-        "knn_k": "knn.k_neighbors",
-    }
-    out = {}
-    for attr, dotted in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[dotted] = value
-    return out
+    return {k: v for k, v in vars(args).items() if (k == "seed" or "." in k) and v is not None}
 
 
 def _resolve_run_dir(args, cfg):
@@ -138,7 +128,7 @@ def _cmd_train(args, exp, cfg, run_dir) -> int:
             print(f"epoch {row['epoch']:4d}  loss {row['loss']:.6f}", flush=True)
 
     state, _ = exp.run_train(cfg, run_dir, log=log)
-    final = state.loss_history[-1] if state.loss_history else float("nan")
+    final = state.epoch_stats[-1]["loss"] if state.epoch_stats else float("nan")
     print(f"final loss {final:.6f}; checkpoint and logs in {run_dir}")
     return 0
 

@@ -254,7 +254,7 @@ def filter_rare_events(d: Dataset, min_event_frequency: float) -> tuple[Dataset,
     counts = d.event_counts()
     keep = counts >= threshold
     if not np.any(keep):
-        raise ValueError("empty dataset after filtering")
+        raise ValueError(f"empty dataset after filtering at min_event_frequency={min_event_frequency}")
 
     event_index_map = np.full(d.num_events, -1, dtype=np.int64)
     kept_indices = np.flatnonzero(keep)
@@ -383,8 +383,8 @@ def fix_allocator_thresholds() -> None:
 
 
 def generate_synthetic(
-    m: int,
-    n: int,
+    num_patients: int,
+    num_events: int,
     rank: int,
     target_density: float,
     seed: int,
@@ -410,13 +410,13 @@ def generate_synthetic(
     fix_allocator_thresholds()
     if not 0.0 < target_density < 0.5:
         raise ValueError(f"target_density must lie in (0, 0.5), got {target_density}")
-    if rank < 1 or rank > min(m, n):
-        raise ValueError(f"rank must lie in [1, min(m, n)], got {rank}")
+    if rank < 1 or rank > min(num_patients, num_events):
+        raise ValueError(f"rank must lie in [1, min(num_patients, num_events)], got {rank}")
     rng = np.random.default_rng(seed)
-    factors_p = rng.normal(size=(m, rank))
-    factors_e = rng.normal(size=(n, rank))
+    factors_p = rng.normal(size=(num_patients, rank))
+    factors_e = rng.normal(size=(num_events, rank))
 
-    raw = rng.lognormal(mean=0.0, sigma=1.0, size=n)
+    raw = rng.lognormal(mean=0.0, sigma=1.0, size=num_events)
     prevalence = raw * (target_density / raw.mean())
     # Clipping changes the mean; rescale a few times to restore it.
     for _ in range(4):
@@ -424,8 +424,8 @@ def generate_synthetic(
         prevalence *= target_density / prevalence.mean()
     prevalence = np.clip(prevalence, 1e-4, 0.4)
 
-    rows = max(1, GENERATE_BLOCK_CELLS // n)
-    blocks = [slice(start, start + rows) for start in range(0, m, rows)]
+    rows = max(1, GENERATE_BLOCK_CELLS // num_events)
+    blocks = [slice(start, start + rows) for start in range(0, num_patients, rows)]
     bias = _calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
 
     # One rng.random call per block draws the same stream as one call for all.
@@ -439,22 +439,22 @@ def generate_synthetic(
     observed_mask = rng.random(len(ground_truth)) < observe_probability
     positives = ground_truth[observed_mask]
 
-    age = 52.0 + 9.0 * factors_p[:, 0] + rng.normal(scale=4.0, size=m)
-    sex = (rng.random(m) < _sigmoid(1.2 * factors_p[:, 0])).astype(np.float64)
+    age = 52.0 + 9.0 * factors_p[:, 0] + rng.normal(scale=4.0, size=num_patients)
+    sex = (rng.random(num_patients) < _sigmoid(1.2 * factors_p[:, 0])).astype(np.float64)
     demographics = np.column_stack([age, sex])
 
     dominant = np.argmax(np.abs(factors_e), axis=1)
-    event_labels = [f"e{j:05d}" for j in range(n)]
+    event_labels = [f"e{j:05d}" for j in range(num_events)]
     event_categories = [f"latent-{k}" for k in dominant]
 
     ds = Dataset(
-        num_patients=m,
-        num_events=n,
+        num_patients=num_patients,
+        num_events=num_events,
         positives=positives,
         demographics=demographics,
         event_labels=event_labels,
         event_categories=event_categories,
-        patient_labels=[f"p{i:06d}" for i in range(m)],
+        patient_labels=[f"p{i:06d}" for i in range(num_patients)],
     )
     return ds, ground_truth
 

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import resource
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,9 +103,6 @@ class RunConfig:
     output_dir: str = "runs"
 
 
-_TOP_KEYS = ("seed", "data", "split", "model", "train", "knn", "output_dir")
-
-
 def _build_section(cls, payload, section: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be an object")
@@ -123,11 +121,14 @@ def _build_section(cls, payload, section: str):
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config mapping; reject unknown keys anywhere."""
+    """Validate a raw config mapping; reject unknown keys anywhere. The keys
+    are `RunConfig`'s fields; each dataclass field is a section, whose keys
+    are its class's fields."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    fields = typing.get_type_hints(RunConfig)
     for key in raw:
-        if key not in _TOP_KEYS:
+        if key not in fields:
             raise ConfigError(f"unknown config key {key}")
     if "seed" not in raw:
         raise ConfigError("missing required config field: seed")
@@ -136,33 +137,24 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seed must be a non-negative integer")
     if "data" not in raw:
         raise ConfigError("missing required config field: data")
-
-    data_raw = dict(raw["data"]) if isinstance(raw["data"], dict) else None
-    if data_raw is None:
+    data = raw["data"]
+    if not isinstance(data, dict):
         raise ConfigError("config section 'data' must be an object")
-    synthetic = data_raw.pop("synthetic", None)
+    synthetic = data.get("synthetic")
     if synthetic is not None:
         synthetic = _build_section(SyntheticSpec, synthetic, "data.synthetic")
-    data = _build_section(DataSpec, {**data_raw, "synthetic": synthetic}, "data")
-
-    split_spec = _build_section(SplitSpec, raw.get("split", {}), "split")
-    split_spec = dataclasses.replace(split_spec, seed=substream_seed(seed, "split"))
-    model_cfg = _build_section(ModelConfig, raw.get("model", {}), "model")
-    train_cfg = _build_section(TrainConfig, raw.get("train", {}), "train")
-    train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    knn_cfg = _build_section(KnnConfig, raw.get("knn", {}), "knn")
-    output_dir = raw.get("output_dir", "runs")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string")
-    return RunConfig(
-        seed=seed,
-        data=data,
-        split=split_spec,
-        model=model_cfg,
-        train=train_cfg,
-        knn=knn_cfg,
-        output_dir=output_dir,
-    )
+    data = _build_section(DataSpec, {**data, "synthetic": synthetic}, "data")
+    values = {"seed": seed, "data": data}
+    for name, cls in fields.items():
+        if dataclasses.is_dataclass(cls) and name not in values:
+            values[name] = _build_section(cls, raw.get(name, {}), name)
+    if "output_dir" in raw:
+        if not isinstance(raw["output_dir"], str):
+            raise ConfigError("output_dir must be a string")
+        values["output_dir"] = raw["output_dir"]
+    values["split"] = dataclasses.replace(values["split"], seed=substream_seed(seed, "split"))
+    values["train"] = dataclasses.replace(values["train"], seed=seed)
+    return RunConfig(**values)
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -194,39 +186,17 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical reloadable mapping: top-level seed only, no derived seeds."""
-    data = {}
-    if cfg.data.synthetic is not None:
-        data["synthetic"] = dataclasses.asdict(cfg.data.synthetic)
-    else:
-        data["triplets"] = cfg.data.triplets
-        data["demographics"] = cfg.data.demographics
-    split_d = dataclasses.asdict(cfg.split)
-    split_d.pop("seed")
-    train_d = dataclasses.asdict(cfg.train)
-    train_d.pop("seed")
-    return {
-        "seed": cfg.seed,
-        "data": data,
-        "split": split_d,
-        "model": dataclasses.asdict(cfg.model),
-        "train": train_d,
-        "knn": dataclasses.asdict(cfg.knn),
-        "output_dir": cfg.output_dir,
-    }
+    out = dataclasses.asdict(cfg)
+    del out["split"]["seed"], out["train"]["seed"]
+    out["data"] = {key: value for key, value in out["data"].items() if value is not None}
+    return out
 
 
 def _generate(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """The configured synthetic cohort and its ground-truth pairs."""
-    s = cfg.data.synthetic
+    spec = dataclasses.asdict(cfg.data.synthetic)
     try:
-        return generate_synthetic(
-            s.num_patients,
-            s.num_events,
-            s.rank,
-            s.target_density,
-            seed=substream_seed(cfg.seed, "generate"),
-            observe_probability=s.observe_probability,
-        )
+        return generate_synthetic(**spec, seed=substream_seed(cfg.seed, "generate"))
     except ValueError as exc:
         raise ConfigError(f"data.synthetic: {exc}") from None
 
@@ -238,8 +208,11 @@ def prepare_dataset(cfg: RunConfig) -> Dataset:
 
 
 def prepare_split(cfg: RunConfig, ds: Dataset) -> SplitDataset:
-    filtered, event_map = filter_rare_events(ds, cfg.split.min_event_frequency)
-    return split(filtered, cfg.split, event_index_map=event_map)
+    try:
+        filtered, event_map = filter_rare_events(ds, cfg.split.min_event_frequency)
+        return split(filtered, cfg.split, event_index_map=event_map)
+    except ValueError as exc:
+        raise ConfigError(f"split: {exc}") from None
 
 
 def _latents(
@@ -396,7 +369,7 @@ def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDatas
                 "events": sd.train.num_events,
                 "observed_positives": len(ds.positives),
             },
-            "final_loss": state.loss_history[-1] if state.loss_history else None,
+            "final_loss": state.epoch_stats[-1]["loss"] if state.epoch_stats else None,
         },
         epoch_seconds=[row["wall_seconds"] for row in state.epoch_stats],
     )
@@ -418,13 +391,17 @@ def run_evaluate(
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
     for a fixed config. The scoring time is the `score` stage of the
-    `evaluate` entry in the run's `telemetry.json`. A fixed cutoff that is
-    not a number in [0, 1] is refused before anything is written: scores are
-    probabilities, so under any other cutoff, or nan, every prediction is the
-    same.
+    `evaluate` entry in the run's `telemetry.json`. An unknown policy, and a
+    fixed cutoff that is not a number in [0, 1], are refused before anything
+    is written: scores are probabilities, so under any other cutoff, or nan,
+    every prediction is the same. A k-NN `k_neighbors` above the train
+    patient count is refused before anything is scored.
     """
     if not 0.0 <= fixed_cutoff <= 1.0:
         raise ConfigError(f"--cutoff (fixed_cutoff) must lie in [0, 1], got {fixed_cutoff}")
+    for policy in policies:
+        if policy not in CUTOFF_POLICIES:
+            raise ConfigError(f"unknown cutoff policy {policy!r}")
     run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
     with run.stage("data"):
         if sd is None:
@@ -433,13 +410,15 @@ def run_evaluate(
             if checkpoint_path is None:
                 raise ValueError("need a checkpoint or explicit parameters")
             params = _checked_checkpoint(cfg, checkpoint_path, sd)
+        if imputer == "knn" and cfg.knn.k_neighbors > sd.train.num_patients:
+            raise ConfigError(
+                f"knn.k_neighbors={cfg.knn.k_neighbors} exceeds the {sd.train.num_patients} train patients"
+            )
     with run.stage("score"):
         grid = imputer_score_grid(imputer, cfg, sd, params)
     reports = {}
     with run.stage("evaluate"):
         for policy in policies:
-            if policy not in CUTOFF_POLICIES:
-                raise ConfigError(f"unknown cutoff policy {policy!r}")
             reports[policy] = evaluate_grid(grid, sd, policy, fixed_cutoff)
             run.write_report(reports[policy], f"{imputer}_{policy}")
     run.close({"imputer": imputer, "policies": list(policies)})

@@ -62,7 +62,6 @@ class TrainState:
     step: int = 0
     adam_m: dict = field(default_factory=dict)
     adam_v: dict = field(default_factory=dict)
-    loss_history: list = field(default_factory=list)
     epoch_stats: list = field(default_factory=list)
 
 
@@ -296,7 +295,6 @@ def train_epoch(
     )
     adam_update(state, grads, train_config)
     state.params.check_finite()
-    state.loss_history.append(loss)
     row = {
         "epoch": epoch,
         "loss": loss,

@@ -1,15 +1,19 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphimpute
-from graphimpute.cli import main
+from graphimpute import experiment
+from graphimpute.cli import build_parser, main
 from graphimpute.dataset import load_triplets
 
 
@@ -201,6 +205,133 @@ class TestArgumentHandling:
             pytest.skip("numpy bundles no OpenBLAS to read the thread count from")
         assert counts == ["2"]
 
+    def test_workers_with_deterministic_is_usage_error(self, config_path, tmp_path, capsys):
+        # --deterministic used to drop --workers without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config_path), "--run-dir", str(tmp_path / "run"),
+                  "--workers", "2", "--deterministic"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "--deterministic" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_every_override_flag_names_a_config_key(self):
+        sections = typing.get_type_hints(experiment.RunConfig)
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dotted = set()
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if "." in action.dest:
+                    section, key = action.dest.split(".")
+                    fields = {f.name for f in dataclasses.fields(sections[section])}
+                    assert key in fields, (command, action.dest)
+                    dotted.add(action.dest)
+        assert {"train.epochs", "model.embedding_dim", "knn.k_neighbors"} <= dotted
+
+    def test_override_flags_reach_the_manifest(self, config_path, tmp_path):
+        assert main([
+            "train", "--config", str(config_path), "--run-dir", str(tmp_path / "train"),
+            "--epochs", "3", "--learning-rate", "0.01", "--mask-probability", "0.25",
+            "--embedding-dim", "6", "--sampler", "uniform", "--seed", "9",
+        ]) == 0
+        config = json.loads((tmp_path / "train" / "manifest.json").read_text())["config"]
+        assert config["seed"] == 9
+        assert config["model"]["embedding_dim"] == 6
+        assert {k: config["train"][k] for k in (
+            "epochs", "learning_rate", "mask_probability", "negative_sampler"
+        )} == {"epochs": 3, "learning_rate": 0.01, "mask_probability": 0.25,
+               "negative_sampler": "uniform"}
+        assert main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(tmp_path / "eval"),
+            "--imputer", "knn", "--policy", "fixed", "--knn-k", "3",
+        ]) == 0
+        manifest = json.loads((tmp_path / "eval" / "evaluate_manifest.json").read_text())
+        assert manifest["config"]["knn"]["k_neighbors"] == 3
+
+
+# The config of `_write_config` and a file config of defaults, as parsed and
+# echoed back: every key filled in, no derived seed.
+SYNTHETIC_ECHO = {
+    "seed": 7,
+    "data": {"synthetic": {"num_patients": 120, "num_events": 30, "rank": 3,
+                           "target_density": 0.08, "observe_probability": 0.7}},
+    "split": {"train_fraction": 0.7, "test_mask_fraction": 0.3, "min_event_frequency": 0.01},
+    "model": {"embedding_dim": 8, "num_layers": 2, "scorer_hidden": 4},
+    "train": {"learning_rate": 0.0066, "epochs": 4, "mask_probability": 0.2, "warmup_epochs": 0,
+              "negative_sampler": "degree_preserving", "fixed_mask": False},
+    "knn": {"k_neighbors": 5, "distance": "hamming"},
+    "output_dir": "runs",
+}
+
+
+def _file_echo(triplets, demographics, output_dir):
+    return {
+        "seed": 3,
+        "data": {"triplets": triplets, "demographics": demographics},
+        "split": {"train_fraction": 0.7, "test_mask_fraction": 0.3, "min_event_frequency": 0.001},
+        "model": {"embedding_dim": 95, "num_layers": 3, "scorer_hidden": 32},
+        "train": {"learning_rate": 0.0066, "epochs": 200, "mask_probability": 0.2,
+                  "warmup_epochs": 0, "negative_sampler": "degree_preserving",
+                  "fixed_mask": False},
+        "knn": {"k_neighbors": 10, "distance": "hamming"},
+        "output_dir": output_dir,
+    }
+
+
+_SYNTHETIC = {"synthetic": {}}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("raw, message", [
+        ([], "config root must be an object"),
+        ({"bogus": 1}, "unknown config key bogus"),
+        ({"seed": 7, "data": _SYNTHETIC, "optimizer": "sgd"}, "unknown config key optimizer"),
+        ({}, "missing required config field: seed"),
+        ({"data": _SYNTHETIC}, "missing required config field: seed"),
+        ({"seed": True}, "seed must be a non-negative integer"),
+        ({"seed": -1, "data": _SYNTHETIC}, "seed must be a non-negative integer"),
+        ({"seed": "7", "data": _SYNTHETIC}, "seed must be a non-negative integer"),
+        ({"seed": 7}, "missing required config field: data"),
+        ({"seed": 7, "data": []}, "config section 'data' must be an object"),
+        ({"seed": 7, "data": _SYNTHETIC, "split": 3}, "config section 'split' must be an object"),
+        ({"seed": 7, "data": {"synthetic": {"x": 1}}}, "unknown config key data.synthetic.x"),
+        ({"seed": 7, "data": {"synthetic": 1}}, "config section 'data.synthetic' must be an object"),
+        ({"seed": 7, "data": {}}, "invalid data config: data needs exactly one source: files or synthetic"),
+        ({"seed": 7, "data": _SYNTHETIC, "train": {"seed": 3}},
+         "train.seed is derived from the top-level seed; remove it"),
+        ({"seed": 7, "data": _SYNTHETIC, "knn": {"k_neighbors": 0}},
+         "invalid knn config: k_neighbors must be >= 1"),
+        ({"seed": 7, "data": _SYNTHETIC, "output_dir": 3}, "output_dir must be a string"),
+    ])
+    def test_refusal_messages(self, raw, message):
+        with pytest.raises(experiment.ConfigError) as exc:
+            experiment.parse_config(raw)
+        assert str(exc.value) == message
+
+    def test_synthetic_config_round_trip_and_echo(self, config_path, tmp_path):
+        cfg = experiment.load_config(config_path)
+        assert experiment.config_to_dict(cfg) == SYNTHETIC_ECHO
+        assert experiment.parse_config(SYNTHETIC_ECHO) == cfg
+        assert main(["split", "--config", str(config_path), "--run-dir", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["config"] == SYNTHETIC_ECHO
+
+    def test_file_config_round_trip_and_echo(self, config_path, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(config_path), "--run-dir", str(gen)]) == 0
+        triplets, demographics = str(gen / "triplets.csv"), str(gen / "demographics.csv")
+        raw = {"seed": 3, "data": {"triplets": triplets, "demographics": demographics},
+               "output_dir": str(tmp_path / "out")}
+        echo = _file_echo(triplets, demographics, str(tmp_path / "out"))
+        cfg = experiment.parse_config(raw)
+        assert experiment.config_to_dict(cfg) == echo
+        assert experiment.parse_config(echo) == cfg
+        path = tmp_path / "files.json"
+        path.write_text(json.dumps(raw))
+        assert main(["split", "--config", str(path), "--run-dir", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["config"] == echo
+
 
 class TestPipeline:
     def test_generate_writes_cohort_files(self, config_path, tmp_path, capsys):
@@ -355,6 +486,34 @@ class TestPipeline:
         assert experiment.run_evaluate(
             cfg, tmp_path / "eval", imputer="frequency", policies=("fixed",), fixed_cutoff=1.0
         )["fixed"].fixed_cutoff == 1.0
+
+    def test_run_evaluate_refuses_unknown_policy_before_writing(self, config_path, tmp_path):
+        # the fixed policy's files used to be written before the unknown one
+        # was refused, and no manifest listed them
+        cfg = experiment.load_config(config_path)
+        with pytest.raises(experiment.ConfigError, match="unknown cutoff policy 'bogus'"):
+            experiment.run_evaluate(
+                cfg, tmp_path / "eval", imputer="frequency", policies=("fixed", "bogus")
+            )
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_filter_that_keeps_no_event_exits_2(self, tmp_path, capsys, command):
+        path = _write_config(tmp_path / "c.json", split={"min_event_frequency": 0.9})
+        code = main([command, "--config", str(path), "--run-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: split: " in err and "min_event_frequency" in err
+
+    def test_knn_k_above_train_patients_exits_2(self, config_path, tmp_path, capsys):
+        eval_dir = tmp_path / "eval"
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
+            "--imputer", "knn", "--knn-k", "5000",
+        ])
+        assert code == 2
+        assert "config error: knn.k_neighbors=5000 exceeds the 84 train patients" in capsys.readouterr().err
+        assert not any(p.suffix == ".csv" for p in eval_dir.glob("*"))
 
     def test_knn_imputer_needs_no_checkpoint(self, config_path, tmp_path):
         eval_dir = tmp_path / "eval"
