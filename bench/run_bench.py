@@ -23,9 +23,14 @@ RSS right after the imports, before generation, is `import_peak_rss_mb`: the
 footprint of the libraries the pipeline loads. BLAS is
 pinned to one thread before numpy loads, and the pin is read back from the
 OpenBLAS copies that numpy and scipy bundle (`perfbench/run.py:openblas`).
-The record, with the git sha (`dirty` when tracked files differ from HEAD)
-and library versions, goes to `<out>/BENCH_<sha>.json`. A run takes a few
-minutes and under 1 GB; it is not part of the test suite.
+Before the scale instance, `perfbench/run.py --trace 1` runs once for each
+of `fit-dp` and `impute` at the acceptance size (5000x500, seed 101, its
+default 45 s), one process after the other, and the record keeps the final
+JSON line of each (the per-layer metrics, such as `model.score_grid_ms`)
+under `perfbench_trace`; a run that fails or is not correct fails the
+benchmark. The record, with the git sha (`dirty` when tracked files differ
+from HEAD) and library versions, goes to `<out>/BENCH_<sha>.json`. A run
+takes about five minutes and under 1 GB; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from perfbench.run import BLAS_ENV, git_sha, openblas  # noqa: E402
 
 INSTANCE = dict(patients=50_000, events=2000, rank=10, density=0.02, seed=101)
 EPOCHS = 3
+TRACED_WORKLOADS = ("fit-dp", "impute")
 
 
 def parse_args(argv):
@@ -64,10 +70,32 @@ def dirty() -> bool:
     return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
+def traced_run(workload: str) -> dict | None:
+    """The final JSON line of a traced perfbench run at the acceptance size,
+    or None (with the reason on stderr) when the run fails or is not correct."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if result is None or not result["correct"]:
+        print(f"error: traced {workload} run failed (exit {proc.returncode})\n{proc.stderr}",
+              file=sys.stderr)
+        return None
+    return result
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     for var in BLAS_ENV:
         os.environ[var] = "1"
+    traces = {}
+    for workload in TRACED_WORKLOADS:
+        traces[workload] = traced_run(workload)
+        if traces[workload] is None:
+            return 1
+        print(f"traced {workload} run recorded")
     sys.path.insert(0, str(ROOT / "src"))
 
     import numpy as np
@@ -139,6 +167,7 @@ def main(argv=None) -> int:
         "timings_s": {**timings, "epoch_s": epoch_s},
         "peak_rss_mb_after": {name: rec["peak_rss_mb"] for name, rec in stage.items()},
         "minor_faults_after": {name: rec["minor_faults"] for name, rec in stage.items()},
+        "perfbench_trace": traces,
         "import_peak_rss_mb": import_peak_rss_mb,
         "peak_rss_mb": stage["knn_s"]["peak_rss_mb"],
         "losses": [row["loss"] for row in rows],

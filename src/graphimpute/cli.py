@@ -138,6 +138,14 @@ def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
         raise exp.ConfigError(
             f"--cutoff sets the fixed policy's cutoff and cannot be used with --policy {args.policy}"
         )
+    if args.checkpoint is not None and args.imputer != "graph":
+        raise exp.ConfigError(
+            f"--checkpoint is read only by the graph imputer and cannot be used with --imputer {args.imputer}"
+        )
+    if getattr(args, "knn.k_neighbors") is not None and args.imputer != "knn":
+        raise exp.ConfigError(
+            f"--knn-k is read only by the knn imputer and cannot be used with --imputer {args.imputer}"
+        )
     if args.cutoff is not None or args.policy == "fixed":
         policies = ("fixed",)
     elif args.policy == "train_frequency":

@@ -547,7 +547,10 @@ def _sigmoid(
     num = np.empty(np.shape(x)) if scratch is None else scratch
     ex = np.empty(np.shape(x)) if out is None else out
     np.greater_equal(x, 0.0, out=num)
-    np.copysign(x, -1.0, out=ex)
+    # -|x| as abs then negate: this numpy runs both on SIMD loops but not
+    # copysign(x, -1), and both set the same sign bit (nan keeps its payload).
+    np.abs(x, out=ex)
+    np.negative(ex, out=ex)
     np.exp(ex, out=ex)
     np.maximum(ex, num, out=num)
     ex += 1.0

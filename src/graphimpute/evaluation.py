@@ -104,7 +104,11 @@ def evaluate(
     hit = flat[held]
     tp = np.bincount(held[hit] % n, minlength=n)
     fn = np.bincount(held[~hit] % n, minlength=n)
-    fp = predicted.sum(axis=0) - tp - np.bincount(seen[flat[seen]] % n, minlength=n)
+    # counting the bools as bytes into int32 (a column has far fewer than
+    # 2^31 rows) runs on numpy's contiguous add loop; sum(axis=0) into the
+    # default int64 takes about twice as long
+    positives = predicted.view(np.uint8).sum(axis=0, dtype=np.int32)
+    fp = positives - tp - np.bincount(seen[flat[seen]] % n, minlength=n)
     tn = t - np.bincount(seen % n, minlength=n) - (tp + fn + fp)
 
     sens = _metric_ratio(tp.astype(np.float64), (tp + fn).astype(np.float64))

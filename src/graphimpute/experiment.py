@@ -316,20 +316,21 @@ class StageTimer(dict):
 
 
 class RunWriter:
-    """One command's run directory. It makes the directory, records every
-    file name it hands out and times stages; `close` writes the manifest,
-    whose sorted `files` lists those names and itself, and the command's
-    entry of `telemetry.json` with the stage records. No manifest lists
-    `telemetry.json`; it is keyed by command, so that commands sharing a
-    directory (`train`, then `evaluate`) keep each other's entries."""
+    """One command's run directory. It records every file name it hands out
+    and times stages; `close` writes the manifest, whose sorted `files` lists
+    those names and itself, and the command's entry of `telemetry.json` with
+    the stage records. The directory is made on the first `path` or `close`,
+    so a command refused before it writes anything leaves none behind. No
+    manifest lists `telemetry.json`; it is keyed by command, so that commands
+    sharing a directory (`train`, then `evaluate`) keep each other's entries."""
 
     def __init__(self, run_dir, command: str, cfg: RunConfig, manifest="manifest.json"):
         self.dir = Path(run_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.command, self.cfg, self.manifest = command, cfg, manifest
         self.files, self.stage = {manifest}, StageTimer()
 
     def path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
         self.files.add(name)
         return self.dir / name
 
@@ -339,7 +340,7 @@ class RunWriter:
 
     def close(self, extra: dict | None = None, **telemetry) -> None:
         extra = {**(extra or {}), "files": sorted(self.files)}
-        write_manifest(self.dir / self.manifest, self.command, self.cfg, extra)
+        write_manifest(self.path(self.manifest), self.command, self.cfg, extra)
         path = self.dir / "telemetry.json"
         try:
             entries = json.loads(path.read_text())

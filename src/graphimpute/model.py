@@ -33,16 +33,18 @@ class CheckpointError(ValueError):
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
 PROB_EPS = 1e-15
-# Patient rows per `score_grid` block: a 1500 x 490 grid with 32 hidden units
-# took 29-32 ms at 8 rows, 30-33 at 4, 34-38 at 16 and 37-40 at 32 (one BLAS
-# thread, 2-vCPU host); the block's hidden units (1 MB there) are one buffer.
+# Patient rows per `score_grid` block: with the copy-then-maximum block, a
+# 1500 x 487 grid with 32 hidden units took 24.5 ms at 8 rows, 26.1 at 4, 31.2
+# at 16 and 37.4 at 32 (fastest of ten; one BLAS thread, 2-vCPU host); the
+# block's hidden units (1 MB there) are one buffer.
 GRID_BLOCK_ROWS = 8
 # Patient rows per `score_grid` epilogue (constant, sigmoid and clip in place):
 # the group's logits and its one scratch array stay in cache (250 KB each on a
 # 487-event grid), where one pass over the whole grid would need a grid-sized
 # scratch array and a pass per block would pay each call's overhead per block.
-# A 15000 x 1967 grid took 1.71 s at 64 rows, 1.80-1.91 s at 32, 128 and 256,
-# and 1.77 s with the epilogue run per 8-row block (same host as above).
+# The 1500 x 487 grid took 24.5 ms at 64 rows, 25.1 at 32 and 24.8 at 128;
+# a 15000 x 1967 grid 1.77 s at 64, 1.73 at 32 and 1.79 at 128, within the
+# host's spread (same host as above).
 GRID_GROUP_ROWS = 64
 # Pairs per `score_edges_raw` block: the event half is gathered and added into
 # the hidden units one block at a time, so its temporary is 2^16 x hidden
@@ -362,12 +364,15 @@ def score_grid(
 
     With relu(l + r) = max(l, -r) + r, the logit of cell (i, j) is
     w2 . max(left[i], -right[j]) + c_j, where c_j = w2 . right[j] + b2 is
-    computed once per event. Each block of GRID_BLOCK_ROWS patients fills one
-    reused (rows, hidden, events) buffer with a single broadcast maximum, whose
-    inner loop runs over the events, and writes its logits into the grid; each
-    group of GRID_GROUP_ROWS patients then gets its constant, sigmoid and clip
-    in place. The logits match the pairwise scorer's up to summation order
-    (~1e-15).
+    computed once per event. Each block of GRID_BLOCK_ROWS patients copies its
+    left halves across one reused (rows, hidden, events) buffer, takes the
+    maximum with -right in place, both operands contiguous, and writes its
+    logits into the grid. numpy has a SIMD loop for that maximum but not for
+    one whose operand is broadcast along the events (stride 0): on a 1500 x 487
+    grid with 32 hidden units the broadcast maxima took 23.4 ms, the copies
+    and contiguous maxima 20.2 ms. Each group of GRID_GROUP_ROWS patients then
+    gets its constant, sigmoid and clip in place. The logits match the
+    pairwise scorer's up to summation order (~1e-15).
     """
     left, right = _first_layer_halves(params, patient_latents, event_latents)
     neg_right = np.ascontiguousarray(-right.T)
@@ -381,7 +386,8 @@ def score_grid(
         for start in range(group, group_stop, GRID_BLOCK_ROWS):
             stop = min(start + GRID_BLOCK_ROWS, group_stop)
             h = buf[: stop - start]
-            np.maximum(left[start:stop, :, None], neg_right, out=h)
+            h[...] = left[start:stop, :, None]
+            np.maximum(h, neg_right, out=h)
             np.matmul(params.scorer_w2, h, out=out[start:stop])
         x = out[group:group_stop]
         x += const

@@ -515,6 +515,33 @@ class TestPipeline:
         assert "config error: knn.k_neighbors=5000 exceeds the 84 train patients" in capsys.readouterr().err
         assert not any(p.suffix == ".csv" for p in eval_dir.glob("*"))
 
+    @pytest.mark.parametrize("imputer", ["knn", "frequency"])
+    def test_checkpoint_with_other_imputer_exits_2(self, config_path, tmp_path, capsys, imputer):
+        # the checkpoint used to be ignored without a word
+        eval_dir = tmp_path / "eval"
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
+            "--imputer", imputer, "--checkpoint", str(tmp_path / "checkpoint.npz"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and f"--imputer {imputer}" in err
+        assert not eval_dir.exists()
+
+    @pytest.mark.parametrize("imputer", ["graph", "frequency"])
+    def test_knn_k_with_other_imputer_exits_2(self, config_path, tmp_path, capsys, imputer):
+        # the manifest used to echo a k that no imputer read
+        eval_dir = tmp_path / "eval"
+        checkpoint = ["--checkpoint", str(tmp_path / "checkpoint.npz")] if imputer == "graph" else []
+        code = main([
+            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
+            "--imputer", imputer, "--knn-k", "3", *checkpoint,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--knn-k" in err and f"--imputer {imputer}" in err
+        assert not eval_dir.exists()
+
     def test_knn_imputer_needs_no_checkpoint(self, config_path, tmp_path):
         eval_dir = tmp_path / "eval"
         assert main([
@@ -753,6 +780,55 @@ class TestRunWriter:
         assert (epochs is not None) == (command == "train")
         if epochs is not None:
             assert len(epochs) == 4 and all(s > 0 for s in epochs)
+
+    @pytest.fixture(scope="class")
+    def refusals(self, tmp_path_factory):
+        """Arguments (all but --run-dir) and error text of commands refused in
+        their data stage, after `RunWriter` exists."""
+        root = tmp_path_factory.mktemp("refused")
+        config = _write_config(root / "config.json")
+        sparse = _write_config(root / "sparse.json", split={"min_event_frequency": 0.9})
+        # on file data the seed changes only the split (see
+        # test_checkpoint_of_other_split_exits_2)
+        assert main(["generate", "--config", str(config), "--run-dir", str(root / "gen")]) == 0
+        cfg = json.loads(config.read_text())
+        cfg["data"] = {
+            "triplets": str(root / "gen" / "triplets.csv"),
+            "demographics": str(root / "gen" / "demographics.csv"),
+        }
+        files = root / "files.json"
+        files.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(files), "--run-dir", str(root / "train")]) == 0
+        ckpt = str(root / "train" / "checkpoint.npz")
+        garbage = root / "garbage.npz"
+        garbage.write_bytes(b"not a checkpoint\n")
+        return {
+            "train-split": (["train", "--config", str(sparse)], "config error: split: "),
+            "evaluate-knn-k": (
+                ["evaluate", "--config", str(config), "--imputer", "knn", "--knn-k", "5000"],
+                "config error: knn.k_neighbors=5000",
+            ),
+            "evaluate-other-split": (
+                ["evaluate", "--config", str(files), "--checkpoint", ckpt, "--seed", "8"],
+                "checkpoint was trained on split",
+            ),
+            "export-bad-checkpoint": (
+                ["export-embeddings", "--config", str(config), "--checkpoint", str(garbage)],
+                "garbage.npz: not an npz archive",
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["train-split", "evaluate-knn-k", "evaluate-other-split", "export-bad-checkpoint"]
+    )
+    def test_refused_command_leaves_no_run_directory(self, refusals, tmp_path, capsys, case):
+        # the directory used to be made before the data stage's checks ran
+        argv, message = refusals[case]
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        assert main([*argv, "--run-dir", str(run_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_evaluate_into_train_directory_keeps_train_telemetry(self, config_path, tmp_path):
         run_dir = tmp_path / "run"

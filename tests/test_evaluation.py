@@ -159,6 +159,22 @@ class TestEvaluate:
                 for name, a, b in zip(("tp", "fn", "tn", "fp"), got, want):
                     assert np.array_equal(a, b), (trial, policy, name)
 
+    def test_predicted_positive_counts_equal_bool_sums(self):
+        # 301 rows: not a multiple of 8, and above a byte's range, so a count
+        # of all-True columns kept in uint8 would wrap
+        rng = np.random.default_rng(23)
+        t, n = 301, 5
+        scores = rng.random((t, n))
+        scores[:, 0], scores[:, 1] = 1.0, 0.0  # every cell predicted, none predicted
+        freqs = np.array([0.2, 0.9, 0.5, 0.0, 0.99])
+        heldout = np.column_stack([rng.integers(0, t, 40), rng.integers(0, n, 40)])
+        for policy, cutoff in (("fixed", 0.5), ("train_frequency", freqs)):
+            report = evaluate(scores, np.empty((0, 2)), heldout, freqs, cutoff_policy=policy)
+            want = (scores > cutoff).sum(axis=0)
+            assert want[0] == t and want[1] == 0
+            assert np.array_equal(report.tp + report.fp, want), policy
+            assert report.fp.dtype == report.tp.dtype == np.int64
+
     def test_counts_with_empty_pair_lists(self):
         rng = np.random.default_rng(22)
         scores = rng.random((5, 3))

@@ -374,8 +374,19 @@ class TestScorer:
         monkeypatch.setattr(model, "GRID_BLOCK_ROWS", 128)
         assert np.array_equal(grid, score_grid(params, p_lat, e_lat))
 
-    @pytest.mark.parametrize("block_rows, group_rows", [(1, 64), (4, 12), (8, 64), (128, 64)])
-    def test_grid_matches_block_loop_with_separate_sigmoid(self, monkeypatch, block_rows, group_rows):
+    @pytest.mark.parametrize("block_rows, group_rows, hidden", [
+        pytest.param(1, 64, 5, id="1-64"),
+        pytest.param(4, 12, 5, id="4-12"),
+        pytest.param(8, 64, 5, id="8-64"),
+        pytest.param(128, 64, 5, id="128-64"),
+        # the default block at the benchmark's 32 hidden units; groups of 20
+        # end every group in a ragged block of 4, and 149 rows end in a ragged
+        # group of 9
+        pytest.param(8, 20, 32, id="8-20-hidden32"),
+    ])
+    def test_grid_matches_block_loop_with_separate_sigmoid(
+        self, monkeypatch, block_rows, group_rows, hidden
+    ):
         # the block loop before the in-place epilogue: a new logit array per
         # block, then the constant, a sigmoid into new arrays and the clip
         def reference(params, p_lat, e_lat):
@@ -391,13 +402,18 @@ class TestScorer:
             return np.clip(out, model.PROB_EPS, 1.0 - model.PROB_EPS)
 
         rng = np.random.default_rng(22)
-        params = init_params(_small_config(embedding_dim=6, scorer_hidden=5), num_events=37, seed=23)
-        # 149 rows: ragged last blocks and groups; at scale 20 many logits saturate
-        for scale in (1.0, 20.0):
+        params = init_params(_small_config(embedding_dim=6, scorer_hidden=hidden), num_events=37, seed=23)
+        # 149 rows: ragged last blocks and groups; at scale 20 many logits
+        # saturate, and at 100 over a tenth of the cells sit at each clip
+        for scale in (1.0, 20.0, 100.0):
             p_lat, e_lat = rng.normal(size=(149, 6)) * scale, rng.normal(size=(37, 6)) * scale
             monkeypatch.setattr(model, "GRID_BLOCK_ROWS", block_rows)
             monkeypatch.setattr(model, "GRID_GROUP_ROWS", group_rows)
-            assert score_grid(params, p_lat, e_lat).tobytes() == reference(params, p_lat, e_lat).tobytes()
+            expected = reference(params, p_lat, e_lat)
+            if scale == 100.0:
+                for clip in (model.PROB_EPS, 1.0 - model.PROB_EPS):
+                    assert np.mean(expected == clip) > 0.1
+            assert score_grid(params, p_lat, e_lat).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("scale", [1, 50])
     def test_grid_matches_dense_reference(self, scale):
