@@ -5,10 +5,10 @@ Exit codes: 0 success, 1 runtime failure, 2 config or usage error. A flag
 that overrides a config key has that key as its dotted ``dest`` (``--epochs``
 sets ``train.epochs``). The worker flags (``--workers``, or
 ``--deterministic``, which forces a single thread; not both) set the thread
-environment variables, which numpy's BLAS reads only when numpy loads. From
-the ``graphimpute`` command they take effect, because the CLI imports numpy
-after parsing its arguments; called in a process that has already imported
-numpy, they have no effect and the CLI says so on stderr.
+environment variables, then set and read back the thread count of the
+OpenBLAS copies that numpy and scipy bundle, so they take effect in a process
+that has already loaded numpy too; a copy that cannot be set is a usage error
+naming the library. The CLI imports numpy only after parsing its arguments.
 """
 
 from __future__ import annotations
@@ -77,19 +77,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads(args) -> None:
+def _configure_threads(args) -> str | None:
+    """Apply the worker flags; returns why a BLAS copy could not be set."""
     workers = 1 if args.deterministic else args.workers
     if workers is None:
-        return
+        return None
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(workers)
-    if "numpy" in sys.modules:
-        flag = "--deterministic" if args.deterministic else "--workers"
-        print(
-            f"warning: {flag} has no effect in this process: numpy was loaded "
-            "before the thread count was set",
-            file=sys.stderr,
-        )
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    site = Path(numpy.__file__).resolve().parent.parent
+    # numpy's copy carries ILP64 symbols with a 64_ suffix, scipy's none
+    for libs, suffix in (("numpy.libs", "64_"), ("scipy.libs", "")):
+        paths = sorted((site / libs).glob("lib*openblas*.so*"))
+        if not paths:
+            return f"cannot set the BLAS thread count: no OpenBLAS library in {libs}"
+        for path in paths:
+            lib = ctypes.CDLL(str(path))
+            try:
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            except AttributeError:
+                return f"cannot set the BLAS thread count of {path.name}"
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(workers)
+            if get_threads() != workers:
+                return f"{path.name} runs {get_threads()} BLAS threads, not {workers}"
+    return None
 
 
 def _overrides(args) -> dict:
@@ -189,7 +207,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         parser.error("workers must be >= 1")
-    _configure_threads(args)
+    problem = _configure_threads(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     from . import experiment as exp
 
     try:

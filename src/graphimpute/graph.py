@@ -1,15 +1,17 @@
 """Sparse bipartite adjacency over patient and event partitions.
 
 One patient-side CSR (rows are patients, sorted event indices) gives O(1)
-patient degree lookups, O(log edges) membership tests on the sorted edge
-codes, and cache-friendly neighbor iteration. The event side is its
-transpose, formed where it is needed (`model.mean_operators`). Graphs are
-immutable.
+patient degree lookups and cache-friendly neighbor iteration. The event side
+is its transpose, formed where it is needed (`model.mean_operators`). Graphs
+are immutable, so the edge list, the sorted edge codes and a packed
+membership bitset of patients x events bits (O(1) membership tests) are each
+built once per graph, on first use, and handed out read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,20 +42,55 @@ class BipartiteGraph:
         return np.bincount(self.patient_indices, minlength=self.num_events)
 
     def all_edges(self) -> np.ndarray:
-        """All edges as a lexicographically sorted (k, 2) array."""
-        patients = np.repeat(np.arange(self.num_patients, dtype=np.int64), self.patient_degrees())
-        return np.column_stack([patients, self.patient_indices])
+        """All edges as a lexicographically sorted (k, 2) array (read-only)."""
+        return self._edges
 
     def edge_codes(self) -> np.ndarray:
-        """Edges encoded as patient * n + event; sorted ascending by construction."""
-        return encode_pairs(self.all_edges(), self.num_events)
+        """Edges encoded as patient * n + event; sorted ascending by
+        construction (read-only)."""
+        return self._codes
+
+    def contains_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Membership mask of cell codes, each in [0, patients * events)."""
+        return (self._bits[codes >> 3] >> (codes & 7) & 1).astype(bool)
 
     def contains_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (k, 2) array of pairs."""
         if len(pairs) == 0:
             return np.empty(0, dtype=bool)
         queries = encode_pairs(np.asarray(pairs, dtype=np.int64), self.num_events)
-        return in_sorted(self.edge_codes(), queries)
+        found = (queries >= 0) & (queries < self.num_patients * self.num_events)
+        found[found] = self.contains_codes(queries[found])
+        return found
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        patients = np.repeat(np.arange(self.num_patients, dtype=np.int64), self.patient_degrees())
+        return _read_only(np.column_stack([patients, self.patient_indices]))
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return _read_only(encode_pairs(self._edges, self.num_events))
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """Bit `code & 7` of byte `code >> 3` is set for each edge code. The
+        codes ascend, so each byte's bits are OR-ed over one run of codes.
+        The codes are formed here rather than read from `_codes`, so that a
+        graph whose codes nobody asks for does not hold them."""
+        bits = np.zeros((self.num_patients * self.num_events + 7) // 8, dtype=np.uint8)
+        codes = encode_pairs(self._edges, self.num_events)
+        if len(codes):
+            byte = codes >> 3
+            starts = np.flatnonzero(np.r_[True, byte[1:] != byte[:-1]])
+            masks = np.left_shift(1, codes & 7).astype(np.uint8)
+            bits[byte[starts]] = np.bitwise_or.reduceat(masks, starts)
+        return _read_only(bits)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:

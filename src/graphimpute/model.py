@@ -79,6 +79,9 @@ class LayerParams:
     b_e: np.ndarray
 
 
+_LAYER_TENSORS = tuple(f.name for f in fields(LayerParams))
+
+
 @dataclass
 class ModelParams:
     event_embeddings: np.ndarray
@@ -92,20 +95,22 @@ class ModelParams:
 
     def named_tensors(self):
         """Stable (name, array) iteration used by the optimizer and checkpoints."""
-        yield "event_embeddings", self.event_embeddings
-        yield "encoder.weight", self.encoder_weight
-        yield "encoder.bias", self.encoder_bias
+        for name, owner, attr in self.tensor_slots():
+            yield name, getattr(owner, attr)
+
+    def tensor_slots(self):
+        """(name, owner, attribute) of each tensor, in `named_tensors` order;
+        the optimizer rebinds `owner.attribute` to its view of one buffer."""
+        yield "event_embeddings", self, "event_embeddings"
+        yield "encoder.weight", self, "encoder_weight"
+        yield "encoder.bias", self, "encoder_bias"
         for idx, layer in enumerate(self.layers):
-            yield f"layers.{idx}.w_self_p", layer.w_self_p
-            yield f"layers.{idx}.w_nbr_p", layer.w_nbr_p
-            yield f"layers.{idx}.b_p", layer.b_p
-            yield f"layers.{idx}.w_self_e", layer.w_self_e
-            yield f"layers.{idx}.w_nbr_e", layer.w_nbr_e
-            yield f"layers.{idx}.b_e", layer.b_e
-        yield "scorer.w1", self.scorer_w1
-        yield "scorer.b1", self.scorer_b1
-        yield "scorer.w2", self.scorer_w2
-        yield "scorer.b2", self.scorer_b2
+            for attr in _LAYER_TENSORS:
+                yield f"layers.{idx}.{attr}", layer, attr
+        yield "scorer.w1", self, "scorer_w1"
+        yield "scorer.b1", self, "scorer_b1"
+        yield "scorer.w2", self, "scorer_w2"
+        yield "scorer.b2", self, "scorer_b2"
 
     def check_finite(self):
         for name, tensor in self.named_tensors():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import decode_pairs, encode_pairs
-from .graph import BipartiteGraph, in_sorted
+from .graph import BipartiteGraph
 
 # Cap on re-deal rounds; slots still in conflict after it take the fallback.
 REDEAL_ROUNDS = 64
@@ -110,22 +110,21 @@ def sample_negative_degree_preserving(
             f"{n - full_deg[i]} non-edges"
         )
 
-    edge_codes = g_full.edge_codes()
     patients = np.repeat(np.arange(m, dtype=np.int64), demand_p)
     events = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), demand_e))
     codes = patients * n + events
-    hit = in_sorted(edge_codes, codes)
 
     def conflicts(runs) -> np.ndarray:
         """Conflict flags of the slots `runs`: whole patient runs, in slot order."""
         sub = codes[runs]
         first = np.zeros(len(sub), dtype=bool)
         first[np.unique(sub, return_index=True)[1]] = True
-        return hit[runs] | ~first
+        return g_full.contains_codes(sub) | ~first
 
     # Slots are dealt in patient order, so a repeated pair lies within one
     # patient's run of slots; each round re-checks only the runs it touched.
     bad = conflicts(slice(None))
+    touched = np.zeros(m, dtype=bool)
     for _ in range(REDEAL_ROUNDS):
         if not bad.any():
             break
@@ -133,11 +132,11 @@ def sample_negative_degree_preserving(
         partners = rng.choice(clean, size=min(int(bad.sum()), len(clean)), replace=False)
         slots = np.concatenate([np.flatnonzero(bad), partners])
         events[slots] = events[rng.permutation(slots)]
-        codes[slots] = patients[slots] * n + events[slots]
-        hit[slots] = in_sorted(edge_codes, codes[slots])
-        touched = np.zeros(m, dtype=bool)
-        touched[patients[slots]] = True
+        owners = patients[slots]
+        codes[slots] = owners * n + events[slots]
+        touched[owners] = True
         runs = np.flatnonzero(touched[patients])
+        touched[owners] = False
         bad[runs] = conflicts(runs)
 
     for i in np.unique(patients[bad]):

@@ -58,19 +58,38 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """The parameters, Adam's moments and the epoch log.
+
+    Every parameter tensor lives in the one float64 buffer `flat`, in
+    `named_tensors()` order, and the params' attributes are `views` of it, so
+    that Adam and the finite check each make one pass over all parameters.
+    `adam_m`, `adam_v` and the gathered gradient `grad` share that layout.
+    """
+
     params: ModelParams
+    flat: np.ndarray
+    views: tuple
+    adam_m: np.ndarray
+    adam_v: np.ndarray
+    grad: np.ndarray
     step: int = 0
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
     epoch_stats: list = field(default_factory=list)
 
 
 def init_train_state(params: ModelParams) -> TrainState:
-    state = TrainState(params=params)
-    for name, tensor in params.named_tensors():
-        state.adam_m[name] = np.zeros_like(tensor)
-        state.adam_v[name] = np.zeros_like(tensor)
-    return state
+    """Copy the tensors into one buffer and rebind `params` to its views."""
+    slots = list(params.tensor_slots())
+    tensors = [getattr(owner, attr) for _, owner, attr in slots]
+    flat = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+    views, start = [], 0
+    for (_, owner, attr), tensor in zip(slots, tensors):
+        view = flat[start : start + tensor.size].reshape(tensor.shape)
+        setattr(owner, attr, view)
+        views.append(view)
+        start += tensor.size
+    return TrainState(
+        params, flat, tuple(views), np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
+    )
 
 
 def balanced_bce(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
@@ -225,7 +244,22 @@ def backward(
 
 
 def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainConfig) -> None:
-    """One Adam step over all parameter tensors, in place."""
+    """One Adam step over all parameter tensors, in place.
+
+    Gathers `grads` into `state.grad` and steps the flat buffers once. Raises
+    ValueError naming the tensor if a gradient's shape is not its tensor's,
+    or if a tensor was rebound after `init_train_state` and so would no
+    longer be trained.
+    """
+    parts = []
+    for (name, tensor), view in zip(state.params.named_tensors(), state.views, strict=True):
+        if tensor is not view:
+            raise ValueError(f"parameter {name} was rebound after init_train_state")
+        g = grads[name]
+        if np.shape(g) != view.shape:
+            raise ValueError(f"gradient for {name} has shape {np.shape(g)}, expected {view.shape}")
+        parts.append(np.ravel(g))
+    g = np.concatenate(parts, out=state.grad)
     state.step += 1
     lr = config.learning_rate
     if config.warmup_epochs > 0:
@@ -234,15 +268,12 @@ def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainCo
         lr *= min(1.0, state.step / config.warmup_epochs)
     bias1 = 1.0 - ADAM_BETA1**state.step
     bias2 = 1.0 - ADAM_BETA2**state.step
-    for name, tensor in state.params.named_tensors():
-        g = grads[name]
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    m, v = state.adam_m, state.adam_v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    state.flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def sample_epoch_batch(
@@ -294,7 +325,8 @@ def train_epoch(
         state.params, g_visible, demographics, batch.invisible, batch.negative
     )
     adam_update(state, grads, train_config)
-    state.params.check_finite()
+    if not np.isfinite(state.flat).all():
+        state.params.check_finite()  # names the tensor
     row = {
         "epoch": epoch,
         "loss": loss,

@@ -48,6 +48,33 @@ def config_path(tmp_path):
     return _write_config(tmp_path / "config.json")
 
 
+@pytest.fixture
+def blas_copies(monkeypatch):
+    """(get, set) thread-count functions of the OpenBLAS copies that numpy and
+    scipy bundle, by library name. Teardown restores each copy's count and the
+    thread variables, so later in-process runs keep their thread count."""
+    import ctypes
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "")  # teardown removes what main sets
+    site = Path(np.__file__).resolve().parent.parent
+    copies = {}
+    for libs, suffix in (("numpy.libs", "64_"), ("scipy.libs", "")):
+        for path in sorted((site / libs).glob("lib*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            get.restype = ctypes.c_int
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            set_threads.argtypes = [ctypes.c_int]
+            copies[path.name] = (get, set_threads)
+    if len(copies) < 2:
+        pytest.skip("numpy and scipy bundle no OpenBLAS copies to set")
+    before = {name: get() for name, (get, _) in copies.items()}
+    yield copies
+    for name, (_, set_threads) in copies.items():
+        set_threads(before[name])
+
+
 def _set_meta(keys, value):
     """Edit of a checkpoint's meta text that sets the entry at the path
     `keys` to `value`."""
@@ -150,22 +177,35 @@ class TestArgumentHandling:
         )
         assert out.stdout.split() == ["True", "False"]
 
-    @pytest.mark.parametrize("flags, name", [
-        (["--workers", "2"], "--workers"),
-        (["--deterministic"], "--deterministic"),
-    ])
-    def test_thread_flag_in_process_warns(
-        self, config_path, tmp_path, capsys, monkeypatch, flags, name
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    @pytest.mark.parametrize("flags, start, expect", [
+        (["--workers", "2"], 1, 2),
+        (["--deterministic"], 2, 1),
+    ], ids=["workers", "deterministic"])
+    def test_thread_flag_in_process_sets_both_blas_copies(
+        self, config_path, tmp_path, capsys, blas_copies, flags, start, expect
     ):
-        # numpy is already loaded here, so the thread variables come too late
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "")  # teardown removes what main sets
+        # numpy and scipy are loaded here already; both OpenBLAS copies must
+        # still end up at the flag's count
+        for _, set_threads in blas_copies.values():
+            set_threads(start)
         code = main(["split", "--config", str(config_path),
                      "--run-dir", str(tmp_path / "run"), *flags])
         assert code == 0
-        err = capsys.readouterr().err
-        assert err.count("warning") == 1
-        assert f"warning: {name} has no effect in this process" in err
+        assert "warning" not in capsys.readouterr().err
+        assert {name: get() for name, (get, _) in blas_copies.items()} == dict.fromkeys(blas_copies, expect)
+
+    def test_blas_copy_that_cannot_be_set_is_usage_error(
+        self, config_path, tmp_path, capsys, blas_copies, monkeypatch
+    ):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        code = main(["split", "--config", str(config_path),
+                     "--run-dir", str(tmp_path / "run"), "--workers", "2"])
+        assert code == 2
+        assert "libscipy_openblas64_" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_no_thread_flag_no_warning(self, config_path, tmp_path, capsys):
         assert main(["split", "--config", str(config_path),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphimpute.graph import build
+from graphimpute.graph import build, in_sorted
 from graphimpute.model import mean_operators
 
 
@@ -85,6 +85,37 @@ def test_all_edges_round_trip(tiny_graph):
     g2 = build(g.all_edges(), g.num_patients, g.num_events)
     assert np.array_equal(g2.patient_indptr, g.patient_indptr)
     assert np.array_equal(g2.patient_indices, g.patient_indices)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_bitset_membership_matches_sorted_codes(data):
+    # patients x events need not be a multiple of 8, and the first and last
+    # cells are always queried
+    m = data.draw(st.integers(1, 13))
+    n = data.draw(st.integers(1, 13))
+    cells = data.draw(st.sets(st.integers(0, m * n - 1), max_size=m * n))
+    pairs = np.array([divmod(c, n) for c in sorted(cells)], dtype=np.int64).reshape(-1, 2)
+    g = build(pairs, m, n)
+    extra = data.draw(st.lists(st.integers(0, m * n - 1), max_size=30))
+    queries = np.array([0, m * n - 1, *extra, *range(m * n)], dtype=np.int64)
+    expect = in_sorted(g.edge_codes(), queries)
+    assert np.array_equal(g.contains_codes(queries), expect)
+    assert np.array_equal(g.contains_pairs(np.column_stack(np.divmod(queries, n))), expect)
+
+
+@pytest.mark.parametrize("pairs", [[[0, 0], [1, 2]], np.empty((0, 2))])
+def test_cached_edge_arrays_are_read_only(pairs):
+    g = build(np.asarray(pairs, dtype=np.int64), 2, 3)
+    assert g.all_edges() is g.all_edges() and g.edge_codes() is g.edge_codes()
+    for array in (g.all_edges(), g.edge_codes()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 1
+
+
+def test_contains_pairs_outside_the_grid_is_false(tiny_graph):
+    queries = np.array([[-1, 4], [6, 0], [0, 0], [5, 4]])
+    assert tiny_graph.contains_pairs(queries).tolist() == [False, False, True, True]
 
 
 @given(st.data())

@@ -13,6 +13,8 @@ from graphimpute.dataset import generate_synthetic, write_dataset
 from graphimpute.graph import build
 from graphimpute.model import ModelConfig, forward_trace, init_params, score_edges_raw
 from graphimpute.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     LOG_EPS,
     TrainConfig,
@@ -226,7 +228,72 @@ class TestScorerBackwardBits:
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _per_tensor_adam(params, moments, step, grads, config):
+    """Adam as it was written before the flat buffer: one pass per tensor,
+    with `moments` mapping each name to its (m, v) arrays."""
+    lr = config.learning_rate
+    if config.warmup_epochs > 0:
+        lr *= min(1.0, step / config.warmup_epochs)
+    bias1 = 1.0 - ADAM_BETA1**step
+    bias2 = 1.0 - ADAM_BETA2**step
+    for name, tensor in params.named_tensors():
+        g = grads[name]
+        m, v = moments[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
 class TestAdam:
+    def test_flat_step_matches_per_tensor_loop_bitwise(self):
+        config = ModelConfig(embedding_dim=4, num_layers=2, scorer_hidden=3)
+        params = init_params(config, num_events=5, seed=4)
+        oracle = init_params(config, num_events=5, seed=4)
+        moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in oracle.named_tensors()}
+        state = init_train_state(params)
+        tc = TrainConfig(learning_rate=0.03, warmup_epochs=3)
+        rng = np.random.default_rng(5)
+        for step in range(1, 6):  # through the warm-up ramp and past it
+            grads = {name: rng.normal(size=t.shape) for name, t in oracle.named_tensors()}
+            adam_update(state, grads, tc)
+            _per_tensor_adam(oracle, moments, step, grads, tc)
+            for (name, got), (_, expect) in zip(params.named_tensors(), oracle.named_tensors()):
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (step, name)
+
+    def test_params_are_views_of_one_buffer(self):
+        config = ModelConfig(embedding_dim=3, num_layers=2, scorer_hidden=2)
+        params = init_params(config, num_events=4, seed=1)
+        before = [(name, t.copy()) for name, t in params.named_tensors()]
+        state = init_train_state(params)
+        assert state.flat.size == sum(t.size for _, t in before)
+        for (name, tensor), (_, copy) in zip(params.named_tensors(), before):
+            assert tensor.base is state.flat and np.array_equal(tensor, copy), name
+
+    def test_misshapen_gradient_raises_naming_tensor(self):
+        # a (1,) gradient used to broadcast over the (2,) scorer.b1
+        config = ModelConfig(embedding_dim=3, num_layers=1, scorer_hidden=2)
+        params = init_params(config, num_events=2, seed=1)
+        state = init_train_state(params)
+        before = state.flat.copy()
+        grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+        grads["scorer.b1"] = np.ones(1)
+        with pytest.raises(ValueError, match=r"scorer\.b1.*\(1,\).*\(2,\)"):
+            adam_update(state, grads, TrainConfig(learning_rate=0.01))
+        assert np.array_equal(state.flat, before) and state.step == 0
+
+    def test_rebound_tensor_raises_naming_it(self):
+        # a tensor rebound after init_train_state no longer views the buffer
+        # that Adam steps, so it would silently stop training
+        config = ModelConfig(embedding_dim=3, num_layers=2, scorer_hidden=2)
+        params = init_params(config, num_events=2, seed=1)
+        state = init_train_state(params)
+        params.layers[1].w_nbr_e = params.layers[1].w_nbr_e.copy()
+        grads = {name: np.ones_like(t) for name, t in params.named_tensors()}
+        with pytest.raises(ValueError, match=r"layers\.1\.w_nbr_e"):
+            adam_update(state, grads, TrainConfig(learning_rate=0.01))
+
     def test_first_step_closed_form(self):
         config = ModelConfig(embedding_dim=3, num_layers=1, scorer_hidden=2)
         params = init_params(config, num_events=2, seed=1)
@@ -315,6 +382,18 @@ class TestTrainEpoch:
         for name, tensor in state.params.named_tensors():
             assert np.array_equal(tensor, dict(fresh.params.named_tensors())[name]), name
         assert len(state.epoch_stats) == 2
+
+    def test_non_finite_step_raises_naming_tensor(self, small_cohort):
+        # one pass over the flat buffer finds it; the error still names a tensor
+        ds, _ = small_cohort
+        graph = build(ds.positives, ds.num_patients, ds.num_events)
+        params = init_params(ModelConfig(embedding_dim=4, num_layers=1, scorer_hidden=2), ds.num_events, seed=0)
+        state = init_train_state(params)
+        tc = TrainConfig(learning_rate=float("inf"), seed=1)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite values in parameter event_embeddings"
+        ):
+            train_epoch(state, tc, graph, ds.demographics, 0)
 
     def test_stats_row_fields(self, small_cohort):
         ds, _ = small_cohort
