@@ -7,7 +7,6 @@ demographics. Zeros are unreliable: an absent pair means "never measured", not
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import hashlib
 import json
@@ -607,19 +606,20 @@ def write_table(path, columns: dict) -> None:
     is read through ``tolist``. Python floats are written as ``.10g`` (NaN as
     ``nan``); every other value with ``str``. A table of numeric columns only
     (``_numeric_format``) is written one ``%`` format per row, which gives
-    the same bytes, since no number needs quoting.
+    the same bytes. Cells are written verbatim, as ``_read_rows`` reads them
+    (split on commas, each field stripped): a cell may hold a quote, but no
+    comma, line break or outer space.
     """
     formats = [_numeric_format(c) for c in columns.values()]
     lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         if None not in formats:
             row = ",".join(formats) + "\r\n"
             fh.write("".join(row % cells for cells in zip(*lists, strict=True)))
             return
         cells = [[f"{v:.10g}" if isinstance(v, float) else str(v) for v in c] for c in lists]
-        writer.writerows(zip(*cells, strict=True))
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
 
 
 def write_json(path, payload) -> None:

@@ -103,6 +103,14 @@ class RunConfig:
     output_dir: str = "runs"
 
 
+# A config value has exactly its field's type (a bool is not an int here), or
+# is an integer for a float; refusals name the types as JSON does. They come
+# after the section is built, so that a value the class refuses keeps its
+# own message.
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               type(None): "null"}
+
+
 def _build_section(cls, payload, section: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be an object")
@@ -115,9 +123,16 @@ def _build_section(cls, payload, section: str):
         if key not in allowed:
             raise ConfigError(f"unknown config key {section}.{key}")
     try:
-        return cls(**payload)
+        built = cls(**payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {section} config: {exc}") from exc
+    hints = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        options = typing.get_args(hints[key]) or (hints[key],)
+        if not any(type(value) is t or (t is float and type(value) is int) for t in options):
+            kinds = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in options)
+            raise ConfigError(f"{section}.{key} must be {kinds}")
+    return built
 
 
 def parse_config(raw: dict) -> RunConfig:

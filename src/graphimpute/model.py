@@ -27,8 +27,8 @@ CHECKPOINT_FORMAT_VERSION = 4
 class CheckpointError(ValueError):
     """A checkpoint this code does not read: a file that is not an npz
     archive, a meta that is not JSON, an unsupported format version, a missing
-    array or meta key, an unknown config key, or an array whose shape does not
-    fit the stored config."""
+    array or meta key, an unknown config key, an event count below 1, or an
+    array whose shape does not fit the stored config."""
 
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
@@ -67,7 +67,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     """One message-passing round: self and neighbor-mean maps for each side."""
 
@@ -82,35 +82,34 @@ class LayerParams:
 _LAYER_TENSORS = tuple(f.name for f in fields(LayerParams))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
+    """Each tensor is a view of one float64 buffer, `flat`, in `named_tensors()`
+    order. Frozen, as is `LayerParams`: a tensor is written in place
+    (`t[...] = x`), never rebound off the buffer."""
+
     event_embeddings: np.ndarray
     encoder_weight: np.ndarray
     encoder_bias: np.ndarray
-    layers: list[LayerParams]
+    layers: tuple[LayerParams, ...]
     scorer_w1: np.ndarray
     scorer_b1: np.ndarray
     scorer_w2: np.ndarray
     scorer_b2: np.ndarray
+    flat: np.ndarray = field(repr=False)
 
     def named_tensors(self):
         """Stable (name, array) iteration used by the optimizer and checkpoints."""
-        for name, owner, attr in self.tensor_slots():
-            yield name, getattr(owner, attr)
-
-    def tensor_slots(self):
-        """(name, owner, attribute) of each tensor, in `named_tensors` order;
-        the optimizer rebinds `owner.attribute` to its view of one buffer."""
-        yield "event_embeddings", self, "event_embeddings"
-        yield "encoder.weight", self, "encoder_weight"
-        yield "encoder.bias", self, "encoder_bias"
+        yield "event_embeddings", self.event_embeddings
+        yield "encoder.weight", self.encoder_weight
+        yield "encoder.bias", self.encoder_bias
         for idx, layer in enumerate(self.layers):
             for attr in _LAYER_TENSORS:
-                yield f"layers.{idx}.{attr}", layer, attr
-        yield "scorer.w1", self, "scorer_w1"
-        yield "scorer.b1", self, "scorer_b1"
-        yield "scorer.w2", self, "scorer_w2"
-        yield "scorer.b2", self, "scorer_b2"
+                yield f"layers.{idx}.{attr}", getattr(layer, attr)
+        yield "scorer.w1", self.scorer_w1
+        yield "scorer.b1", self.scorer_b1
+        yield "scorer.w2", self.scorer_w2
+        yield "scorer.b2", self.scorer_b2
 
     def check_finite(self):
         for name, tensor in self.named_tensors():
@@ -140,33 +139,26 @@ def init_params(
     h = config.scorer_hidden
     if event_embeddings is None:
         event_embeddings = rng.normal(scale=d**-0.5, size=(num_events, d))
-    else:
-        event_embeddings = np.array(event_embeddings, dtype=np.float64)
-        if event_embeddings.shape != (num_events, d):
-            raise ValueError(
-                f"event embedding shape {event_embeddings.shape} != ({num_events}, {d})"
-            )
-    layers = [
-        LayerParams(
-            w_self_p=_glorot(rng, d, d, (d, d)),
-            w_nbr_p=_glorot(rng, d, d, (d, d)),
-            b_p=np.zeros(d),
-            w_self_e=_glorot(rng, d, d, (d, d)),
-            w_nbr_e=_glorot(rng, d, d, (d, d)),
-            b_e=np.zeros(d),
+    elif np.shape(event_embeddings) != (num_events, d):
+        raise ValueError(
+            f"event embedding shape {np.shape(event_embeddings)} != ({num_events}, {d})"
         )
+    layers = [
+        (_glorot(rng, d, d, (d, d)), _glorot(rng, d, d, (d, d)), np.zeros(d),
+         _glorot(rng, d, d, (d, d)), _glorot(rng, d, d, (d, d)), np.zeros(d))
         for _ in range(config.num_layers)
     ]
-    return ModelParams(
-        event_embeddings=event_embeddings,
-        encoder_weight=_glorot(rng, f, d, (f, d)),
-        encoder_bias=np.zeros(d),
-        layers=layers,
-        scorer_w1=_glorot(rng, 2 * d, h, (2 * d, h)),
-        scorer_b1=np.zeros(h),
-        scorer_w2=_glorot(rng, h, 1, (h,)),
-        scorer_b2=np.zeros(()),
-    )
+    head = (event_embeddings, _glorot(rng, f, d, (f, d)), np.zeros(d))
+    w1 = _glorot(rng, 2 * d, h, (2 * d, h))
+    scorer = (w1, np.zeros(h), _glorot(rng, h, 1, (h,)), np.zeros(()))
+    # drawn in the seed stream's order, laid out in `named_tensors()` order
+    tensors = [*head, *(t for layer in layers for t in layer), *scorer]
+    flat = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
+    parts = np.split(flat, np.cumsum([np.size(t) for t in tensors])[:-1])
+    views = [part.reshape(np.shape(t)) for part, t in zip(parts, tensors, strict=True)]
+    k = len(_LAYER_TENSORS)
+    layer_views = tuple(LayerParams(*views[i : i + k]) for i in range(3, len(views) - 4, k))
+    return ModelParams(*views[:3], layer_views, *views[-4:], flat)
 
 
 def init_event_embeddings_svd(
@@ -466,7 +458,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
             config = ModelConfig(**stored_config)
         except ValueError as exc:
             raise CheckpointError(f"checkpoint config: {exc}") from None
-        params = init_params(config, _int_entry(meta, "num_events", "meta key"), seed=0)
+        num_events = _int_entry(meta, "num_events", "meta key")
+        if num_events < 1:
+            raise CheckpointError("checkpoint meta key num_events must be >= 1")
+        params = init_params(config, num_events, seed=0)
         for name, tensor in params.named_tensors():
             stored = _entry(data, f"param/{name}", "array")
             if stored.shape != tensor.shape:

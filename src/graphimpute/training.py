@@ -60,15 +60,11 @@ class TrainConfig:
 class TrainState:
     """The parameters, Adam's moments and the epoch log.
 
-    Every parameter tensor lives in the one float64 buffer `flat`, in
-    `named_tensors()` order, and the params' attributes are `views` of it, so
-    that Adam and the finite check each make one pass over all parameters.
-    `adam_m`, `adam_v` and the gathered gradient `grad` share that layout.
+    `adam_m`, `adam_v` and the gathered gradient `grad` have the layout of
+    `params.flat`, so that Adam makes one pass over all parameters.
     """
 
     params: ModelParams
-    flat: np.ndarray
-    views: tuple
     adam_m: np.ndarray
     adam_v: np.ndarray
     grad: np.ndarray
@@ -77,19 +73,9 @@ class TrainState:
 
 
 def init_train_state(params: ModelParams) -> TrainState:
-    """Copy the tensors into one buffer and rebind `params` to its views."""
-    slots = list(params.tensor_slots())
-    tensors = [getattr(owner, attr) for _, owner, attr in slots]
-    flat = np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64)
-    views, start = [], 0
-    for (_, owner, attr), tensor in zip(slots, tensors):
-        view = flat[start : start + tensor.size].reshape(tensor.shape)
-        setattr(owner, attr, view)
-        views.append(view)
-        start += tensor.size
-    return TrainState(
-        params, flat, tuple(views), np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    )
+    """Zero moments and a gradient buffer in the layout of `params.flat`."""
+    flat = params.flat
+    return TrainState(params, np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat))
 
 
 def balanced_bce(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
@@ -236,10 +222,6 @@ def backward(
     d_enc = d_p * (trace.patient_states[0] > 0)
     grads["encoder.weight"] = demographics.T @ d_enc
     grads["encoder.bias"] = d_enc.sum(axis=0)
-
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
     return loss, grads
 
 
@@ -248,18 +230,20 @@ def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainCo
 
     Gathers `grads` into `state.grad` and steps the flat buffers once. Raises
     ValueError naming the tensor if a gradient's shape is not its tensor's,
-    or if a tensor was rebound after `init_train_state` and so would no
-    longer be trained.
+    and FloatingPointError naming the first tensor, in layout order, whose
+    gradient is not finite; either leaves the parameters and moments as they
+    were.
     """
     parts = []
-    for (name, tensor), view in zip(state.params.named_tensors(), state.views, strict=True):
-        if tensor is not view:
-            raise ValueError(f"parameter {name} was rebound after init_train_state")
+    for name, t in state.params.named_tensors():
         g = grads[name]
-        if np.shape(g) != view.shape:
-            raise ValueError(f"gradient for {name} has shape {np.shape(g)}, expected {view.shape}")
+        if np.shape(g) != t.shape:
+            raise ValueError(f"gradient for {name} has shape {np.shape(g)}, expected {t.shape}")
         parts.append(np.ravel(g))
     g = np.concatenate(parts, out=state.grad)
+    if not np.isfinite(g).all():
+        bad = next(n for n, _ in state.params.named_tensors() if not np.isfinite(grads[n]).all())
+        raise FloatingPointError(f"non-finite gradient for parameter {bad}")
     state.step += 1
     lr = config.learning_rate
     if config.warmup_epochs > 0:
@@ -268,12 +252,12 @@ def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainCo
         lr *= min(1.0, state.step / config.warmup_epochs)
     bias1 = 1.0 - ADAM_BETA1**state.step
     bias2 = 1.0 - ADAM_BETA2**state.step
-    m, v = state.adam_m, state.adam_v
+    m, v, flat = state.adam_m, state.adam_v, state.params.flat
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
-    state.flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def sample_epoch_batch(
@@ -325,7 +309,7 @@ def train_epoch(
         state.params, g_visible, demographics, batch.invisible, batch.negative
     )
     adam_update(state, grads, train_config)
-    if not np.isfinite(state.flat).all():
+    if not np.isfinite(state.params.flat).all():
         state.params.check_finite()  # names the tensor
     row = {
         "epoch": epoch,

@@ -344,11 +344,33 @@ class TestConfig:
         ({"seed": 7, "data": _SYNTHETIC, "knn": {"k_neighbors": 0}},
          "invalid knn config: k_neighbors must be >= 1"),
         ({"seed": 7, "data": _SYNTHETIC, "output_dir": 3}, "output_dir must be a string"),
+        ({"seed": 7, "data": _SYNTHETIC, "train": {"fixed_mask": "false"}},
+         "train.fixed_mask must be true or false"),
+        ({"seed": 7, "data": _SYNTHETIC, "train": {"epochs": 2.5}}, "train.epochs must be an integer"),
+        ({"seed": 7, "data": _SYNTHETIC, "model": {"embedding_dim": 2.5}},
+         "model.embedding_dim must be an integer"),
+        ({"seed": 7, "data": _SYNTHETIC, "knn": {"k_neighbors": 2.5}},
+         "knn.k_neighbors must be an integer"),
+        ({"seed": 7, "data": {"synthetic": {"num_patients": 100.5}}},
+         "data.synthetic.num_patients must be an integer"),
+        ({"seed": 7, "data": _SYNTHETIC, "model": {"num_layers": True}},
+         "model.num_layers must be an integer"),
+        ({"seed": 7, "data": {"triplets": 3, "demographics": "d.csv"}},
+         "data.triplets must be a string or null"),
+        ({"seed": 7, "data": _SYNTHETIC, "train": {"learning_rate": True}},
+         "train.learning_rate must be a number"),
     ])
     def test_refusal_messages(self, raw, message):
         with pytest.raises(experiment.ConfigError) as exc:
             experiment.parse_config(raw)
         assert str(exc.value) == message
+
+    def test_number_fields_take_integers_and_optional_fields_null(self):
+        raw = {"seed": 7, "data": {**_SYNTHETIC, "triplets": None},
+               "train": {"learning_rate": 1, "fixed_mask": True}}
+        cfg = experiment.parse_config(raw)
+        assert cfg.train.learning_rate == 1 and cfg.train.fixed_mask is True
+        assert cfg.data.triplets is None
 
     def test_synthetic_config_round_trip_and_echo(self, config_path, tmp_path):
         cfg = experiment.load_config(config_path)
@@ -721,7 +743,9 @@ class TestPipeline:
          "checkpoint config key embedding_dim is not an integer"),
         (_set_meta(["config", "embedding_dim"], 0), "checkpoint config: embedding_dim must be >= 1"),
         (_set_meta(["num_events"], 30.0), "checkpoint meta key num_events is not an integer"),
-    ], ids=["meta-list", "config-number", "config-string", "config-zero", "events-float"])
+        (_set_meta(["num_events"], -3), "checkpoint meta key num_events must be >= 1"),
+    ], ids=["meta-list", "config-number", "config-string", "config-zero", "events-float",
+            "events-negative"])
     def test_malformed_checkpoint_meta_exits_2(
         self, config_path, tmp_path, capsys, edit_meta, message
     ):

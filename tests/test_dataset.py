@@ -162,12 +162,25 @@ class TestLoadTriplets:
         with pytest.raises(ValueError, match="labels"):
             write_dataset(Dataset(2, 2, [], np.zeros((2, 2))), tmp_path / "t.csv", tmp_path / "d.csv")
 
+    def test_quoted_id_round_trips(self, tmp_path):
+        # csv quoting wrote 'B "b"' as '"B ""b"""', which _read_rows does not
+        # unquote, so it came back as another id that sorts before "A"
+        d = Dataset(
+            2, 3, np.array([[0, 1], [1, 0], [1, 2]]), np.array([[50.0, 1.0], [60.0, 0.0]]),
+            event_labels=["A", 'B "b"', "C"], patient_labels=['p "1"', "p2"],
+        )
+        write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
+        back = load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+        assert back.event_labels == d.event_labels
+        assert back.patient_labels == d.patient_labels
+        assert np.array_equal(back.positives, d.positives)
+
     def test_write_table_cell_formats(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(
             path,
             {
-                "label": ["a,b", "c"],
+                "label": ['a "b"', "c"],
                 "count": [np.int64(3), 4],
                 "value": [1 / 3, float("nan")],
                 "numpy_float": list(np.array([0.1, 2.0])),
@@ -176,7 +189,7 @@ class TestLoadTriplets:
         )
         assert path.read_bytes().decode() == (
             "label,count,value,numpy_float,preformatted\r\n"
-            '"a,b",3,0.3333333333,0.1,0.500000\r\n'
+            'a "b",3,0.3333333333,0.1,0.500000\r\n'
             "c,4,nan,2,x\r\n"
         )
         with pytest.raises(ValueError):
@@ -194,7 +207,7 @@ class TestLoadTriplets:
         }
         assert None not in [ds_mod._numeric_format(c) for c in numeric.values()]
         write_table(tmp_path / "fast.csv", numeric)
-        # lists of Python numbers take the per-cell csv.writer path
+        # lists of Python numbers take the per-cell path
         write_table(tmp_path / "slow.csv", {k: np.asarray(c).tolist() for k, c in numeric.items()})
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
@@ -208,9 +221,9 @@ class TestLoadTriplets:
             b"2,0.3333333333,1099511627776,0.3333333433,5\r\n"
             b"3,1e+17,-1,9.999999843e+16,6\r\n"
         )
-        # bool and str arrays keep str() and csv quoting
-        write_table(tmp_path / "t.csv", {"flag": np.array([True, False]), "name": np.array(["a,b", "c"])})
-        assert (tmp_path / "t.csv").read_bytes() == b'flag,name\r\nTrue,"a,b"\r\nFalse,c\r\n'
+        # bool and str arrays keep str(), written verbatim
+        write_table(tmp_path / "t.csv", {"flag": np.array([True, False]), "name": np.array(['a "b"', "c"])})
+        assert (tmp_path / "t.csv").read_bytes() == b'flag,name\r\nTrue,a "b"\r\nFalse,c\r\n'
         write_table(tmp_path / "t.csv", {"a": np.array([]), "b": range(0)})
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
         with pytest.raises(ValueError):

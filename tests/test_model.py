@@ -45,12 +45,12 @@ def _zero_layer(params, idx=None):
     for i in rng:
         layer = params.layers[i]
         d = layer.w_self_p.shape[0]
-        layer.w_self_p = np.eye(d)
-        layer.w_nbr_p = np.zeros((d, d))
-        layer.b_p = np.zeros(d)
-        layer.w_self_e = np.eye(d)
-        layer.w_nbr_e = np.zeros((d, d))
-        layer.b_e = np.zeros(d)
+        layer.w_self_p[...] = np.eye(d)
+        layer.w_nbr_p[...] = 0.0
+        layer.b_p[...] = 0.0
+        layer.w_self_e[...] = np.eye(d)
+        layer.w_nbr_e[...] = 0.0
+        layer.b_e[...] = 0.0
 
 
 def _dense_reference(params, config, g, p0, e0):
@@ -147,8 +147,8 @@ class TestMeanOperators:
 class TestEncode:
     def test_affine_relu_oracle(self):
         params = init_params(_small_config(), num_events=3, seed=0)
-        params.encoder_weight = np.array([[1.0, -1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]])
-        params.encoder_bias = np.array([0.5, 0.0, -3.0, 0.0])
+        params.encoder_weight[...] = np.array([[1.0, -1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]])
+        params.encoder_bias[...] = np.array([0.5, 0.0, -3.0, 0.0])
         demo = np.array([[1.0, 2.0], [-1.0, 0.0]])
         expect = np.array([[1.5, 1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0]])
         assert np.allclose(encode_patients(params, demo), expect, atol=1e-12)
@@ -202,12 +202,12 @@ class TestMessagePass:
         config = _small_config(num_layers=1)
         params = init_params(config, num_events=2, seed=3)
         layer = params.layers[0]
-        layer.w_self_p = np.zeros((4, 4))
-        layer.w_nbr_p = np.eye(4)
-        layer.b_p = np.zeros(4)
-        layer.w_self_e = np.zeros((4, 4))
-        layer.w_nbr_e = np.eye(4)
-        layer.b_e = np.zeros(4)
+        layer.w_self_p[...] = 0.0
+        layer.w_nbr_p[...] = np.eye(4)
+        layer.b_p[...] = 0.0
+        layer.w_self_e[...] = 0.0
+        layer.w_nbr_e[...] = np.eye(4)
+        layer.b_e[...] = 0.0
         p0 = np.random.default_rng(4).normal(size=(3, 4))
         e0 = np.random.default_rng(5).normal(size=(2, 4))
         p, e = message_pass(params, g, p0, e0)
@@ -223,12 +223,12 @@ class TestMessagePass:
         config = _small_config(num_layers=1)
         params = init_params(config, num_events=1, seed=6)
         layer = params.layers[0]
-        layer.w_self_p = 2 * np.eye(4)
-        layer.w_nbr_p = np.zeros((4, 4))
-        layer.b_p = np.zeros(4)
-        layer.w_self_e = np.zeros((4, 4))
-        layer.w_nbr_e = np.eye(4)
-        layer.b_e = np.zeros(4)
+        layer.w_self_p[...] = 2 * np.eye(4)
+        layer.w_nbr_p[...] = 0.0
+        layer.b_p[...] = 0.0
+        layer.w_self_e[...] = 0.0
+        layer.w_nbr_e[...] = np.eye(4)
+        layer.b_e[...] = 0.0
         p0 = np.full((1, 4), 3.0)
         e0 = np.zeros((1, 4))
         _, e = message_pass(params, g, p0, e0)
@@ -258,9 +258,9 @@ class TestMessagePass:
         config = _small_config(num_layers=1)
         params = init_params(config, num_events=6, seed=10)
         layer = params.layers[0]
-        layer.w_self_p = np.zeros((4, 4))
-        layer.w_nbr_p = np.eye(4)
-        layer.b_p = np.zeros(4)
+        layer.w_self_p[...] = 0.0
+        layer.w_nbr_p[...] = np.eye(4)
+        layer.b_p[...] = 0.0
         e0 = rng.normal(size=(6, 4))
         p, _ = message_pass(params, g, np.zeros((8, 4)), e0)
         assert np.all(p >= e0.min(axis=0) - 1e-12)
@@ -313,26 +313,26 @@ class TestMessagePass:
 class TestScorer:
     def test_zero_weights_give_half(self):
         params = init_params(_small_config(), num_events=2, seed=0)
-        params.scorer_w1 = np.zeros_like(params.scorer_w1)
+        params.scorer_w1[...] = 0.0
         probs, _ = score_edges_raw(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
         assert np.allclose(probs, 0.5, atol=1e-15)
 
     def test_large_bias_saturates(self):
         params = init_params(_small_config(), num_events=2, seed=0)
-        params.scorer_w1 = np.zeros_like(params.scorer_w1)
-        params.scorer_b2 = np.array(30.0)
+        params.scorer_w1[...] = 0.0
+        params.scorer_b2[...] = 30.0
         hi, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
-        params.scorer_b2 = np.array(-30.0)
+        params.scorer_b2[...] = -30.0
         lo, _ = score_edges_raw(params, np.zeros((1, 4)), np.zeros((1, 4)), [[0, 0]])
         assert hi[0] == pytest.approx(1.0, abs=1e-12) and hi[0] < 1.0
         assert lo[0] == pytest.approx(0.0, abs=1e-12) and lo[0] > 0.0
 
     def test_hand_computed_instance(self):
         params = init_params(_small_config(embedding_dim=1, scorer_hidden=2), num_events=1, seed=0)
-        params.scorer_w1 = np.array([[1.0, -1.0], [2.0, 1.0]])
-        params.scorer_b1 = np.array([0.0, 0.5])
-        params.scorer_w2 = np.array([1.0, 2.0])
-        params.scorer_b2 = np.array(-0.5)
+        params.scorer_w1[...] = np.array([[1.0, -1.0], [2.0, 1.0]])
+        params.scorer_b1[...] = np.array([0.0, 0.5])
+        params.scorer_w2[...] = np.array([1.0, 2.0])
+        params.scorer_b2[...] = -0.5
         p_lat = np.array([[2.0], [-1.0]])
         e_lat = np.array([[-1.0], [1.0]])
         # (0, 0): u = [2, -1]; h_pre = [0, -2.5]; h = [0, 0]; logit = -0.5
@@ -422,8 +422,8 @@ class TestScorer:
         # scale 50 most logits saturate
         rng = np.random.default_rng(18)
         params = init_params(_small_config(scorer_hidden=5), num_events=7, seed=19)
-        params.scorer_w1 = rng.integers(-2, 3, size=params.scorer_w1.shape).astype(float)
-        params.scorer_b1 = rng.integers(-2, 3, size=5) * float(scale)
+        params.scorer_w1[...] = rng.integers(-2, 3, size=params.scorer_w1.shape).astype(float)
+        params.scorer_b1[...] = rng.integers(-2, 3, size=5) * float(scale)
         rows = 2 * model.GRID_BLOCK_ROWS + 3  # the last block is ragged
         p_lat = rng.integers(-2, 3, size=(rows, 4)) * float(scale)
         e_lat = rng.integers(-2, 3, size=(7, 4)) * float(scale)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import platform
 import subprocess
@@ -11,7 +12,14 @@ import scipy.sparse as sp
 from graphimpute import training
 from graphimpute.dataset import generate_synthetic, write_dataset
 from graphimpute.graph import build
-from graphimpute.model import ModelConfig, forward_trace, init_params, score_edges_raw
+from graphimpute.model import (
+    ModelConfig,
+    forward_trace,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+    score_edges_raw,
+)
 from graphimpute.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -135,12 +143,6 @@ class TestBackward:
         assert np.array_equal(grads["event_embeddings"][4], np.zeros(4))
         assert np.any(grads["event_embeddings"][0] != 0.0)
 
-    def test_poisoned_params_raise_naming_tensor(self):
-        params, g, demo, pos, neg = _fd_instance()
-        params.event_embeddings[0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="non-finite gradient for parameter"):
-            backward(params, g, demo, pos, neg)
-
 
 def _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit):
     """Scorer gradients and latent adjoints through the wide per-pair input
@@ -262,37 +264,60 @@ class TestAdam:
             for (name, got), (_, expect) in zip(params.named_tensors(), oracle.named_tensors()):
                 assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (step, name)
 
-    def test_params_are_views_of_one_buffer(self):
+    def test_params_are_views_of_one_buffer(self, tmp_path):
         config = ModelConfig(embedding_dim=3, num_layers=2, scorer_hidden=2)
         params = init_params(config, num_events=4, seed=1)
-        before = [(name, t.copy()) for name, t in params.named_tensors()]
-        state = init_train_state(params)
-        assert state.flat.size == sum(t.size for _, t in before)
-        for (name, tensor), (_, copy) in zip(params.named_tensors(), before):
-            assert tensor.base is state.flat and np.array_equal(tensor, copy), name
+        save_checkpoint(tmp_path / "ckpt.npz", config, params, "split")
+        _, loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
+        for p in (params, loaded):
+            start = 0
+            for name, tensor in p.named_tensors():
+                assert tensor.base is p.flat, name
+                assert tensor.ctypes.data == p.flat.ctypes.data + start * p.flat.itemsize, name
+                start += tensor.size
+            assert start == p.flat.size
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_misshapen_gradient_raises_naming_tensor(self):
         # a (1,) gradient used to broadcast over the (2,) scorer.b1
         config = ModelConfig(embedding_dim=3, num_layers=1, scorer_hidden=2)
         params = init_params(config, num_events=2, seed=1)
         state = init_train_state(params)
-        before = state.flat.copy()
+        before = params.flat.copy()
         grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
         grads["scorer.b1"] = np.ones(1)
         with pytest.raises(ValueError, match=r"scorer\.b1.*\(1,\).*\(2,\)"):
             adam_update(state, grads, TrainConfig(learning_rate=0.01))
-        assert np.array_equal(state.flat, before) and state.step == 0
+        assert np.array_equal(params.flat, before) and state.step == 0
 
     def test_rebound_tensor_raises_naming_it(self):
-        # a tensor rebound after init_train_state no longer views the buffer
-        # that Adam steps, so it would silently stop training
+        # a rebound tensor would no longer view the buffer that Adam steps,
+        # so it would silently stop training; the rebinding itself is refused
+        config = ModelConfig(embedding_dim=3, num_layers=2, scorer_hidden=2)
+        params = init_params(config, num_events=2, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="w_nbr_e"):
+            params.layers[1].w_nbr_e = params.layers[1].w_nbr_e.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError, match="scorer_b1"):
+            params.scorer_b1 = np.zeros(2)
+        with pytest.raises(TypeError):
+            params.layers[0] = params.layers[1]
+
+    def test_poisoned_params_raise_naming_tensor(self):
+        # a non-finite gradient is refused before the step, naming the first
+        # such tensor in layout order, and leaves the state as it was
         config = ModelConfig(embedding_dim=3, num_layers=2, scorer_hidden=2)
         params = init_params(config, num_events=2, seed=1)
         state = init_train_state(params)
-        params.layers[1].w_nbr_e = params.layers[1].w_nbr_e.copy()
+        tc = TrainConfig(learning_rate=0.01)
         grads = {name: np.ones_like(t) for name, t in params.named_tensors()}
-        with pytest.raises(ValueError, match=r"layers\.1\.w_nbr_e"):
-            adam_update(state, grads, TrainConfig(learning_rate=0.01))
+        adam_update(state, grads, tc)
+        before = [params.flat.copy(), state.adam_m.copy(), state.adam_v.copy()]
+        grads["scorer.w1"][0, 0] = np.inf
+        grads["layers.1.b_e"][1] = np.nan
+        with pytest.raises(FloatingPointError, match=r"non-finite gradient for parameter layers\.1\.b_e$"):
+            adam_update(state, grads, tc)
+        after = [params.flat, state.adam_m, state.adam_v]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before)) and state.step == 1
 
     def test_first_step_closed_form(self):
         config = ModelConfig(embedding_dim=3, num_layers=1, scorer_hidden=2)
