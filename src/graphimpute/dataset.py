@@ -102,12 +102,6 @@ class Dataset:
         if self.patient_labels is not None and len(self.patient_labels) != self.num_patients:
             raise ValueError("patient_labels length does not match num_patients")
 
-    @property
-    def density(self) -> float:
-        if self.num_patients == 0 or self.num_events == 0:
-            return 0.0
-        return len(self.positives) / (self.num_patients * self.num_events)
-
     def event_counts(self) -> np.ndarray:
         """Number of distinct patients with each event."""
         return np.bincount(self.positives[:, 1], minlength=self.num_events)
@@ -589,37 +583,36 @@ def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _numeric_format(column) -> str | None:
-    """The ``%`` format of a column that is a ``range`` or a numpy integer or
-    float array (what its cells would read as through ``str`` or ``.10g``),
-    or None for any other column."""
-    if isinstance(column, range):
-        return "%d"
-    if isinstance(column, np.ndarray):
-        return {"i": "%d", "u": "%d", "f": "%.10g"}.get(column.dtype.kind)
-    return None
-
-
 def write_table(path, columns: dict) -> None:
     """Write a CSV file whose header is the keys of ``columns`` and whose
-    columns are its values, which must all have one length. A numpy column
-    is read through ``tolist``. Python floats are written as ``.10g`` (NaN as
-    ``nan``); every other value with ``str``. A table of numeric columns only
-    (``_numeric_format``) is written one ``%`` format per row, which gives
-    the same bytes. Cells are written verbatim, as ``_read_rows`` reads them
-    (split on commas, each field stripped): a cell may hold a quote, but no
-    comma, line break or outer space.
+    columns are its values, which must all have one length. Every row is
+    written with one ``%`` format per column: ``%d`` for a ``range`` or a
+    numpy integer array, ``%.10g`` for a numpy float array, ``%s`` for any
+    other, whose Python floats are first written as ``.10g`` (NaN as ``nan``).
+    Cells are written verbatim, as ``_read_rows`` reads them: a cell may hold
+    a quote, but a string cell that holds a comma or line break, or has outer
+    space, is refused, naming its column and row, before the file is opened.
     """
-    formats = [_numeric_format(c) for c in columns.values()]
-    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    with open(path, "w", newline="") as fh:
+    formats, lists = [], []
+    for name, column in columns.items():
+        kind = "i" if isinstance(column, range) else getattr(column, "dtype", np.dtype("O")).kind
+        formats.append({"i": "%d", "u": "%d", "f": "%.10g"}.get(kind, "%s"))
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        if formats[-1] == "%s":
+            cells = [f"{v:.10g}" if isinstance(v, float) else v for v in cells]
+            bad = {v for v in set(cells) if isinstance(v, str) and (
+                v != v.strip() or "," in v or "\n" in v or "\r" in v)}
+            if bad:
+                i = next(i for i, v in enumerate(cells) if v in bad)
+                raise ValueError(
+                    f"{path}: column {name!r}, row {i + 1}: cell {cells[i]!r} holds a comma, "
+                    "a line break or outer space, which would not read back"
+                )
+        lists.append(cells)
+    row = ",".join(formats) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        if None not in formats:
-            row = ",".join(formats) + "\r\n"
-            fh.write("".join(row % cells for cells in zip(*lists, strict=True)))
-            return
-        cells = [[f"{v:.10g}" if isinstance(v, float) else str(v) for v in c] for c in lists]
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
+        fh.write("".join(row % cells for cells in zip(*lists, strict=True)))
 
 
 def write_json(path, payload) -> None:

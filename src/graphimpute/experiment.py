@@ -85,11 +85,14 @@ class DataSpec:
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self):
-        file_source = self.triplets is not None
-        if file_source and self.demographics is None:
-            raise ConfigError("data.triplets requires data.demographics")
-        if file_source == (self.synthetic is not None):
+        if self.synthetic is not None:
+            for key in ("triplets", "demographics"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"data.{key} is not read with data.synthetic; remove it")
+        elif self.triplets is None:
             raise ConfigError("data needs exactly one source: files or synthetic")
+        elif self.demographics is None:
+            raise ConfigError("data.triplets requires data.demographics")
 
 
 @dataclass(frozen=True)
@@ -122,23 +125,27 @@ def _build_section(cls, payload, section: str):
             )
         if key not in allowed:
             raise ConfigError(f"unknown config key {section}.{key}")
+    hints = typing.get_type_hints(cls)
+    options = {key: typing.get_args(hints[key]) or (hints[key],) for key in payload}
+    payload = dict(payload)
+    for key, (kind, *_) in options.items():
+        if dataclasses.is_dataclass(kind) and payload[key] is not None:
+            payload[key] = _build_section(kind, payload[key], f"{section}.{key}")
     try:
         built = cls(**payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {section} config: {exc}") from exc
-    hints = typing.get_type_hints(cls)
     for key, value in payload.items():
-        options = typing.get_args(hints[key]) or (hints[key],)
-        if not any(type(value) is t or (t is float and type(value) is int) for t in options):
-            kinds = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in options)
+        if not any(type(value) is t or (t is float and type(value) is int) for t in options[key]):
+            kinds = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in options[key])
             raise ConfigError(f"{section}.{key} must be {kinds}")
     return built
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config mapping; reject unknown keys anywhere. The keys
-    are `RunConfig`'s fields; each dataclass field is a section, whose keys
-    are its class's fields."""
+    are `RunConfig`'s fields; a field typed as a dataclass (or `X | None` of
+    one) is a section whose keys are its class's fields, at any depth."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     fields = typing.get_type_hints(RunConfig)
@@ -152,16 +159,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seed must be a non-negative integer")
     if "data" not in raw:
         raise ConfigError("missing required config field: data")
-    data = raw["data"]
-    if not isinstance(data, dict):
-        raise ConfigError("config section 'data' must be an object")
-    synthetic = data.get("synthetic")
-    if synthetic is not None:
-        synthetic = _build_section(SyntheticSpec, synthetic, "data.synthetic")
-    data = _build_section(DataSpec, {**data, "synthetic": synthetic}, "data")
-    values = {"seed": seed, "data": data}
+    values = {"seed": seed}
     for name, cls in fields.items():
-        if dataclasses.is_dataclass(cls) and name not in values:
+        if dataclasses.is_dataclass(cls):
             values[name] = _build_section(cls, raw.get(name, {}), name)
     if "output_dir" in raw:
         if not isinstance(raw["output_dir"], str):

@@ -359,6 +359,10 @@ class TestConfig:
          "data.triplets must be a string or null"),
         ({"seed": 7, "data": _SYNTHETIC, "train": {"learning_rate": True}},
          "train.learning_rate must be a number"),
+        ({"seed": 7, "data": {**_SYNTHETIC, "demographics": "missing.csv"}},
+         "invalid data config: data.demographics is not read with data.synthetic; remove it"),
+        ({"seed": 7, "data": {**_SYNTHETIC, "triplets": "t.csv", "demographics": "d.csv"}},
+         "invalid data config: data.triplets is not read with data.synthetic; remove it"),
     ])
     def test_refusal_messages(self, raw, message):
         with pytest.raises(experiment.ConfigError) as exc:

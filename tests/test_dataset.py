@@ -195,7 +195,7 @@ class TestLoadTriplets:
         with pytest.raises(ValueError):
             write_table(path, {"a": [1, 2], "b": [1]})
 
-    def test_write_table_numeric_rows_match_generic_path(self, tmp_path):
+    def test_write_table_array_and_list_columns_give_same_bytes(self, tmp_path):
         floats = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 1 / 3, 1e17])
         ints = np.array([-5, 0, 3, -(2**62), 7, 2**40, -1], dtype=np.int64)
         numeric = {
@@ -205,9 +205,8 @@ class TestLoadTriplets:
             "single": floats.astype(np.float32),
             "unsigned": np.arange(7, dtype=np.uint8),
         }
-        assert None not in [ds_mod._numeric_format(c) for c in numeric.values()]
         write_table(tmp_path / "fast.csv", numeric)
-        # lists of Python numbers take the per-cell path
+        # lists of Python numbers are %s columns, their floats preformatted
         write_table(tmp_path / "slow.csv", {k: np.asarray(c).tolist() for k, c in numeric.items()})
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
@@ -228,6 +227,19 @@ class TestLoadTriplets:
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.csv", {"a": np.zeros(2), "b": range(1)})
+
+    @pytest.mark.parametrize("cell", [" a", "a ", "a,b", "a\nb", "a\rb", "\ta"])
+    def test_write_table_refuses_unreadable_cell(self, tmp_path, cell):
+        # written verbatim, " a" read back as "a" and "a,b" as two fields
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"column 'name', row 3: cell .* would not read back"):
+            write_table(path, {"row": range(3), "name": ["a", "b", cell]})
+        assert not path.exists()
+        d = Dataset(1, 2, [[0, 0], [0, 1]], np.zeros((1, 2)), event_labels=["a", cell],
+                    patient_labels=["p"])
+        with pytest.raises(ValueError, match="column 'event_id', row 2"):
+            write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
+        assert not path.exists()
 
     def test_write_json_sorted_with_final_newline(self, tmp_path):
         write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]})
@@ -464,3 +476,35 @@ def test_dataset_positives_are_sorted_unique(pairs):
     assert len(set(map(tuple, out.tolist()))) == len(out)
     assert sorted(map(tuple, out.tolist())) == list(map(tuple, out.tolist()))
     assert set(map(tuple, out.tolist())) == set(pairs)
+
+
+# Ids as real files hold them: quotes, inner spaces and non-ASCII letters, but
+# no comma, line break or outer space (write_table refuses those).
+_ids = st.text(alphabet="aZ09 \"'éßЖ中-", min_size=1, max_size=6).filter(lambda s: s == s.strip())
+
+
+@given(
+    st.lists(_ids, min_size=1, max_size=8, unique=True),
+    st.lists(_ids, min_size=1, max_size=8, unique=True),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_write_dataset_round_trips_labelled_pairs(tmp_path_factory, patients, events, data):
+    m, n = len(patients), len(events)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=30))
+    demo = data.draw(st.lists(
+        st.tuples(st.floats(0, 120, allow_nan=False), st.sampled_from([0.0, 1.0])),
+        min_size=m, max_size=m,
+    ))
+    d = Dataset(m, n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(demo),
+                event_labels=events, patient_labels=patients)
+    tmp = tmp_path_factory.mktemp("rt")
+    write_dataset(d, tmp / "t.csv", tmp / "d.csv")
+    back = load_triplets(tmp / "t.csv", tmp / "d.csv")
+
+    def labelled(ds):
+        return {(ds.patient_labels[i], ds.event_labels[j]) for i, j in ds.positives.tolist()}
+
+    assert labelled(back) == labelled(d)
+    assert back.patient_labels == patients
+    assert np.allclose(back.demographics, d.demographics, rtol=1e-9, atol=0)
