@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,9 +107,6 @@ class Dataset:
         """Number of distinct patients with each event."""
         return np.bincount(self.positives[:, 1], minlength=self.num_events)
 
-    def patient_degrees(self) -> np.ndarray:
-        return np.bincount(self.positives[:, 0], minlength=self.num_patients)
-
     def event_frequencies(self) -> np.ndarray:
         """Per-event fraction of patients with the event."""
         if self.num_patients == 0:
@@ -201,7 +199,9 @@ def load_triplets(path, demographics_path) -> Dataset:
         try:
             age = float(age_s)
         except ValueError:
-            raise ValueError(f"{demographics_path}: line {lineno}: bad age {age_s!r}") from None
+            age = math.nan
+        if not math.isfinite(age):  # nan or inf would spread through message passing
+            raise ValueError(f"{demographics_path}: line {lineno}: bad age {age_s!r}")
         if sex_s.upper() not in sex_map:
             raise ValueError(f"{demographics_path}: line {lineno}: bad sex {sex_s!r}")
         if pid in patient_index:
@@ -583,16 +583,8 @@ def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_table(path, columns: dict) -> None:
-    """Write a CSV file whose header is the keys of ``columns`` and whose
-    columns are its values, which must all have one length. Every row is
-    written with one ``%`` format per column: ``%d`` for a ``range`` or a
-    numpy integer array, ``%.10g`` for a numpy float array, ``%s`` for any
-    other, whose Python floats are first written as ``.10g`` (NaN as ``nan``).
-    Cells are written verbatim, as ``_read_rows`` reads them: a cell may hold
-    a quote, but a string cell that holds a comma or line break, or has outer
-    space, is refused, naming its column and row, before the file is opened.
-    """
+def _table_text(path, columns: dict) -> str:
+    """The text ``write_table`` writes to ``path``, which names it in a refusal."""
     formats, lists = [], []
     for name, column in columns.items():
         kind = "i" if isinstance(column, range) else getattr(column, "dtype", np.dtype("O")).kind
@@ -610,9 +602,21 @@ def write_table(path, columns: dict) -> None:
                 )
         lists.append(cells)
     row = ",".join(formats) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        fh.write("".join(row % cells for cells in zip(*lists, strict=True)))
+    rows = (row % cells for cells in zip(*lists, strict=True))
+    return "".join([",".join(columns) + "\r\n", *rows])
+
+
+def write_table(path, columns: dict) -> None:
+    """Write a CSV file whose header is the keys of ``columns`` and whose
+    columns are its values, which must all have one length. Every row is
+    written with one ``%`` format per column: ``%d`` for a ``range`` or a
+    numpy integer array, ``%.10g`` for a numpy float array, ``%s`` for any
+    other, whose Python floats are first written as ``.10g`` (NaN as ``nan``).
+    Cells are written verbatim, as ``_read_rows`` reads them: a cell may hold
+    a quote, but a string cell that holds a comma or line break, or has outer
+    space, is refused, naming its column and row, before the file is opened.
+    """
+    Path(path).write_text(_table_text(path, columns), encoding="utf-8", newline="")
 
 
 def write_json(path, payload) -> None:
@@ -622,20 +626,24 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def write_pairs(
-    path, pairs: np.ndarray, patient_labels: list[str], event_labels: list[str]
-) -> None:
-    """Write (patient, event) index pairs as labelled ``patient_id,event_id`` rows."""
+def pair_columns(pairs: np.ndarray, patient_labels: list[str], event_labels: list[str]) -> dict:
+    """(patient, event) index pairs as the labelled ``patient_id,event_id``
+    columns of a ``write_table`` table."""
     patients, events = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.tolist()
     columns = ([patient_labels[i] for i in patients], [event_labels[j] for j in events])
-    write_table(path, dict(zip(TRIPLET_HEADER, columns)))
+    return dict(zip(TRIPLET_HEADER, columns))
 
 
 def write_dataset(d: Dataset, triplets_path, demographics_path) -> None:
-    """Write a labelled dataset in the two files load_triplets reads."""
+    """Write a labelled dataset in the two files load_triplets reads. A
+    label ``write_table`` refuses is refused before either file is opened."""
     if d.patient_labels is None or d.event_labels is None:
         raise ValueError("writing a dataset needs patient and event labels")
     age, sex = d.demographics.T
-    columns = (d.patient_labels, age, sex.astype(np.int64))
-    write_table(demographics_path, dict(zip(DEMOGRAPHICS_HEADER, columns)))
-    write_pairs(triplets_path, d.positives, d.patient_labels, d.event_labels)
+    tables = [
+        (demographics_path, dict(zip(DEMOGRAPHICS_HEADER, (d.patient_labels, age, sex.astype(np.int64))))),
+        (triplets_path, pair_columns(d.positives, d.patient_labels, d.event_labels)),
+    ]
+    texts = [(path, _table_text(path, columns)) for path, columns in tables]
+    for path, text in texts:
+        Path(path).write_text(text, encoding="utf-8", newline="")

@@ -19,6 +19,8 @@ from .dataset import encode_pairs, unique_codes, write_json, write_table
 from .graph import in_sorted
 
 CUTOFF_POLICIES = ("fixed", "train_frequency")
+FREQUENCY_BINS = 10
+EXPORT_NEIGHBORS = 10
 
 
 @dataclass
@@ -133,7 +135,7 @@ def _nan_mean(values: np.ndarray) -> float:
     return float(defined.mean()) if len(defined) else float("nan")
 
 
-def frequency_bin_edges(train_frequencies: np.ndarray, num_bins: int = 10) -> np.ndarray:
+def frequency_bin_edges(train_frequencies: np.ndarray) -> np.ndarray:
     """Log-spaced bin edges spanning the positive train frequencies."""
     pos = train_frequencies[train_frequencies > 0]
     if len(pos) == 0:
@@ -142,7 +144,7 @@ def frequency_bin_edges(train_frequencies: np.ndarray, num_bins: int = 10) -> np
     if lo == hi:
         # Degenerate range: one bin containing everything.
         return np.array([lo * 0.5, hi * 2.0])
-    return np.geomspace(lo, hi, num_bins + 1)
+    return np.geomspace(lo, hi, FREQUENCY_BINS + 1)
 
 
 def assign_frequency_bins(train_frequencies: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -181,9 +183,7 @@ class BiasProfile:
     spearman_v2: float
 
 
-def bias_profile(
-    report_v1: MetricsReport, report_v2: MetricsReport, num_bins: int = 10
-) -> BiasProfile:
+def bias_profile(report_v1: MetricsReport, report_v2: MetricsReport) -> BiasProfile:
     """Compare uniform (v1) against degree-preserving (v2) sampling reports.
 
     Both reports must cover the same events with the same train frequencies.
@@ -192,7 +192,7 @@ def bias_profile(
         report_v1.train_frequencies, report_v2.train_frequencies
     ):
         raise ValueError("reports cover different event sets")
-    edges = frequency_bin_edges(report_v1.train_frequencies, num_bins)
+    edges = frequency_bin_edges(report_v1.train_frequencies)
     bins = assign_frequency_bins(report_v1.train_frequencies, edges)
     rows = []
     for b in range(len(edges) - 1):
@@ -240,7 +240,7 @@ def write_bias_csv(profile: BiasProfile, path) -> None:
     write_table(path, columns)
 
 
-def cosine_neighbors(embeddings: np.ndarray, top_k: int = 10) -> tuple[np.ndarray, np.ndarray]:
+def cosine_neighbors(embeddings: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k cosine-similarity neighbors per row (dense all-pairs; O(n^2) memory).
 
     Ties broken by lower index; a zero row has cosine 0 with everything.
@@ -262,16 +262,16 @@ def export_event_embeddings(
     neighbors_path,
     event_labels=None,
     event_categories=None,
-    top_k: int = 10,
 ) -> None:
-    """Write latent event embeddings and their top-k cosine neighbor lists."""
+    """Write latent event embeddings and their `EXPORT_NEIGHBORS` nearest
+    cosine neighbors."""
     n, d = embeddings.shape
     labels = event_labels if event_labels is not None else [str(j) for j in range(n)]
     categories = event_categories if event_categories is not None else [""] * n
     columns = {"event": labels, "category": categories}
     columns.update((f"dim_{i}", embeddings[:, i]) for i in range(d))
     write_table(embeddings_path, columns)
-    idx, sims = cosine_neighbors(embeddings, top_k)
+    idx, sims = cosine_neighbors(embeddings, EXPORT_NEIGHBORS)
     k = idx.shape[1]
     write_table(
         neighbors_path,

@@ -31,11 +31,11 @@ from .dataset import (
     filter_rare_events,
     generate_synthetic,
     load_triplets,
+    pair_columns,
     split,
     standardize_demographics,
     write_dataset,
     write_json,
-    write_pairs,
     write_split_manifest,
     write_table,
 )
@@ -110,8 +110,7 @@ class RunConfig:
 # is an integer for a float; refusals name the types as JSON does. They come
 # after the section is built, so that a value the class refuses keeps its
 # own message.
-_JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               type(None): "null"}
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
 
 
 def _build_section(cls, payload, section: str):
@@ -459,7 +458,7 @@ def summary_table(reports: dict[str, MetricsReport], imputer: str, runtime_s: fl
     return "\n".join(lines)
 
 
-def run_compare_samplers(cfg: RunConfig, run_dir, log=None) -> dict:
+def run_compare_samplers(cfg: RunConfig, run_dir) -> dict:
     """Train twice (uniform vs degree-preserving negatives), profile the bias.
 
     Everything except the negative sampler is identical, including all seeds.
@@ -471,7 +470,7 @@ def run_compare_samplers(cfg: RunConfig, run_dir, log=None) -> dict:
     for version, sampler in (("v1", "uniform"), ("v2", "degree_preserving")):
         with run.stage(f"sampler_{version}"):
             train_cfg = dataclasses.replace(cfg.train, negative_sampler=sampler)
-            state = fit(sd.train, cfg.model, train_cfg, log=log)
+            state = fit(sd.train, cfg.model, train_cfg)
             grid = score_test_grid(state.params, sd.train, sd.test_visible)
             reports[version] = evaluate_grid(grid, sd, "fixed")
             run.write_report(reports[version], f"sampler_{version}")
@@ -503,7 +502,7 @@ def run_generate(cfg: RunConfig, run_dir) -> dict:
     }
     with run.stage("write"):
         write_dataset(ds, paths["triplets"], paths["demographics"])
-        write_pairs(paths["ground_truth"], truth, ds.patient_labels, ds.event_labels)
+        write_table(paths["ground_truth"], pair_columns(truth, ds.patient_labels, ds.event_labels))
     run.close({"observed_positives": len(ds.positives), "true_positives": len(truth)})
     return {"dataset": ds, "paths": paths}
 
@@ -522,7 +521,8 @@ def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
         write_dataset(sd.train, run.path("train_triplets.csv"), run.path("train_demographics.csv"))
         test = sd.test_visible
         write_dataset(test, run.path("test_visible_triplets.csv"), run.path("test_demographics.csv"))
-        write_pairs(run.path("test_heldout.csv"), sd.test_heldout, test.patient_labels, test.event_labels)
+        heldout = pair_columns(sd.test_heldout, test.patient_labels, test.event_labels)
+        write_table(run.path("test_heldout.csv"), heldout)
     run.close()
     return sd
 

@@ -27,8 +27,9 @@ CHECKPOINT_FORMAT_VERSION = 4
 class CheckpointError(ValueError):
     """A checkpoint this code does not read: a file that is not an npz
     archive, a meta that is not JSON, an unsupported format version, a missing
-    array or meta key, an unknown config key, an event count below 1, or an
-    array whose shape does not fit the stored config."""
+    array or meta key, an unknown config key, an event count below 1, an
+    array whose shape does not fit the stored config, or an array holding a
+    non-finite value."""
 
 
 # Keep probabilities strictly inside (0, 1) even under logit saturation.
@@ -50,6 +51,7 @@ GRID_GROUP_ROWS = 64
 # the hidden units one block at a time, so its temporary is 2^16 x hidden
 # floats (16 MB at 32 units) rather than a second pairs x hidden array.
 PAIR_BLOCK_ROWS = 1 << 16
+SVD_POWER_ITERS = 8
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,7 @@ def init_params(
     return ModelParams(*views[:3], layer_views, *views[-4:], flat)
 
 
-def init_event_embeddings_svd(
-    train: Dataset, d: int, power_iters: int = 8, seed=0
-) -> np.ndarray:
+def init_event_embeddings_svd(train: Dataset, d: int, seed=0) -> np.ndarray:
     """Top-d right singular vectors of the train matrix, scaled by sqrt(singular value).
 
     Computed by randomized subspace iteration on the sparse matrix, so the cost
@@ -180,7 +180,7 @@ def init_event_embeddings_svd(
     width = min(k + 10, n)
     probe = rng.normal(size=(n, width))
     q, _ = np.linalg.qr(x @ probe)
-    for _ in range(power_iters):
+    for _ in range(SVD_POWER_ITERS):
         z, _ = np.linalg.qr(x.T @ q)
         q, _ = np.linalg.qr(x @ z)
     b = (x.T @ q).T
@@ -428,7 +428,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
     keys and arrays this version does not use are ignored.
 
     Each array is copied into the one `init_params` makes for the stored config
-    and event count, and must have its shape, so that none is broadcast later.
+    and event count, and must have its shape and finite values, so that none
+    is broadcast later or turns every score nan.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -469,4 +470,6 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
                     f"checkpoint array {name} has shape {stored.shape}, expected {tensor.shape}"
                 )
             tensor[...] = stored
+            if not np.isfinite(tensor).all():
+                raise CheckpointError(f"checkpoint array {name} holds a non-finite value")
     return config, params, _entry(meta, "split_sha256", "meta key")

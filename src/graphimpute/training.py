@@ -41,7 +41,6 @@ class TrainConfig:
     seed: int = 0
     warmup_epochs: int = 0
     negative_sampler: str = "degree_preserving"
-    fixed_mask: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.mask_probability < 1.0:
@@ -98,37 +97,6 @@ def balanced_bce(p_pos: np.ndarray, p_neg: np.ndarray) -> float:
     return float(-(pos_term + neg_term) / (2.0 * k))
 
 
-def _forward(params, g_visible, demographics, positives, negatives):
-    """Forward pass shared by the loss and its gradient.
-
-    Scores the stacked [positives; negatives] pairs in one scorer call;
-    balanced_bce checks that both sets are non-empty and of equal size.
-    Returns the loss, the forward trace, the stacked pairs, and the scorer's
-    probabilities and rectified hidden units.
-    """
-    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
-    pairs = np.concatenate([positives, negatives])
-    trace = forward_trace(params, g_visible, demographics)
-    probs, h = score_edges_raw(
-        params, trace.patient_states[-1], trace.event_states[-1], pairs
-    )
-    k = len(positives)
-    loss = balanced_bce(probs[:k], probs[k:])
-    return loss, trace, pairs, probs, h
-
-
-def loss_forward(
-    params: ModelParams,
-    g_visible: BipartiteGraph,
-    demographics: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-) -> float:
-    """Loss only, via the same forward path as the gradient computation."""
-    return _forward(params, g_visible, demographics, positives, negatives)[0]
-
-
 def _scorer_backward(params, pairs, h, dlogit, grads, patient_latents, event_latents):
     """Scorer gradients into `grads`; returns the adjoints of the patient and
     event latents.
@@ -177,14 +145,21 @@ def backward(
     scorer. The neighbor-mean adjoint is the transposed mean operator; an
     incidence product undoes the scorer's pair gather before the first layer's
     weights are applied. Gradients of clamped log terms are zero, matching the
-    piecewise loss exactly.
+    piecewise loss exactly. The stacked [positives; negatives] pairs are
+    scored in one scorer call; balanced_bce checks that both sets are
+    non-empty and of equal size.
     """
-    loss, trace, pairs, probs, h = _forward(
-        params, g_visible, demographics, positives, negatives
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate([positives, negatives])
+    trace = forward_trace(params, g_visible, demographics)
+    probs, h = score_edges_raw(
+        params, trace.patient_states[-1], trace.event_states[-1], pairs
     )
-    k = len(pairs) // 2
-    # d loss / d logit; terms whose log argument was clamped contribute zero.
+    k = len(positives)
     p_pos, p_neg = probs[:k], probs[k:]
+    loss = balanced_bce(p_pos, p_neg)
+    # d loss / d logit; terms whose log argument was clamped contribute zero.
     dlogit = np.concatenate(
         [
             np.where(p_pos > LOG_EPS, (p_pos - 1.0) / (2.0 * k), 0.0),
@@ -223,6 +198,17 @@ def backward(
     grads["encoder.weight"] = demographics.T @ d_enc
     grads["encoder.bias"] = d_enc.sum(axis=0)
     return loss, grads
+
+
+def loss_forward(
+    params: ModelParams,
+    g_visible: BipartiteGraph,
+    demographics: np.ndarray,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+) -> float:
+    """The loss of `backward`, without its gradients."""
+    return backward(params, g_visible, demographics, positives, negatives)[0]
 
 
 def adam_update(state: TrainState, grads: dict[str, np.ndarray], config: TrainConfig) -> None:
@@ -269,9 +255,8 @@ def sample_epoch_batch(
     draws of different epochs (and of other pipeline stages) are independent.
     A mask draw that hides nothing is redrawn from the next substream index.
     """
-    mask_index = 0 if config.fixed_mask else epoch
     for attempt in range(100):
-        seed = substream_seed(config.seed, "mask", mask_index * 100 + attempt)
+        seed = substream_seed(config.seed, "mask", epoch * 100 + attempt)
         invisible, visible = sample_invisible(train_graph, config.mask_probability, seed)
         if len(invisible) > 0:
             break

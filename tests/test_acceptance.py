@@ -161,16 +161,22 @@ def test_loss_anchor_and_memorization():
 
     ds = _memorization_instance()
     mc = ModelConfig(embedding_dim=16, num_layers=3, scorer_hidden=32)
-    tc = TrainConfig(learning_rate=0.02, epochs=2000, seed=0, warmup_epochs=20, fixed_mask=True)
+    tc = TrainConfig(learning_rate=0.02, epochs=2000, seed=0, warmup_epochs=20)
     graph = build(ds.positives, ds.num_patients, ds.num_events)
     demo = standardize_demographics(ds.demographics, demographics_stats(ds.demographics))
     emb = model_mod.init_event_embeddings_svd(ds, 16, seed=substream_seed(tc.seed, "svd-init"))
     params = init_params(mc, ds.num_events, substream_seed(tc.seed, "weight-init"), event_embeddings=emb)
     state = training.init_train_state(params)
+    # memorize one mask: epoch 0's hidden edges every epoch, fresh negatives
+    batch = training.sample_epoch_batch(graph, tc, 0)
+    g_visible = build(batch.visible, ds.num_patients, ds.num_events)
     reached = None
     for epoch in range(tc.epochs):
-        row = training.train_epoch(state, tc, graph, demo, epoch)
-        if row["loss"] < 0.05:
+        neg_seed = substream_seed(tc.seed, "negatives", epoch)
+        negatives = sample_negative_degree_preserving(graph, batch.invisible, neg_seed)[0]
+        loss, grads = backward(state.params, g_visible, demo, batch.invisible, negatives)
+        training.adam_update(state, grads, tc)
+        if loss < 0.05:
             reached = epoch
             break
     _verdict(

@@ -108,6 +108,7 @@ class TestArgumentHandling:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         # a stray top-level key, and keys that older versions accepted
         cases = [
+            ({"train": {"fixed_mask": False}}, "train.fixed_mask"),
             ({"optimizer": "sgd"}, "optimizer"),
             ({"train": {"grad_clip": 1.0}}, "train.grad_clip"),
             ({"train": {"weight_decay": 0.1}}, "train.weight_decay"),
@@ -120,7 +121,7 @@ class TestArgumentHandling:
             code = main(["train", "--config", str(path), "--run-dir", str(tmp_path / "run")])
             assert code == 2, name
             err = capsys.readouterr().err
-            assert "config error" in err and name in err, name
+            assert f"config error: unknown config key {name}" in err, name
             assert not (tmp_path / "run").exists(), name
 
     def test_workers_below_one_is_usage_error(self, config_path, tmp_path, capsys):
@@ -300,7 +301,7 @@ SYNTHETIC_ECHO = {
     "split": {"train_fraction": 0.7, "test_mask_fraction": 0.3, "min_event_frequency": 0.01},
     "model": {"embedding_dim": 8, "num_layers": 2, "scorer_hidden": 4},
     "train": {"learning_rate": 0.0066, "epochs": 4, "mask_probability": 0.2, "warmup_epochs": 0,
-              "negative_sampler": "degree_preserving", "fixed_mask": False},
+              "negative_sampler": "degree_preserving"},
     "knn": {"k_neighbors": 5, "distance": "hamming"},
     "output_dir": "runs",
 }
@@ -313,8 +314,7 @@ def _file_echo(triplets, demographics, output_dir):
         "split": {"train_fraction": 0.7, "test_mask_fraction": 0.3, "min_event_frequency": 0.001},
         "model": {"embedding_dim": 95, "num_layers": 3, "scorer_hidden": 32},
         "train": {"learning_rate": 0.0066, "epochs": 200, "mask_probability": 0.2,
-                  "warmup_epochs": 0, "negative_sampler": "degree_preserving",
-                  "fixed_mask": False},
+                  "warmup_epochs": 0, "negative_sampler": "degree_preserving"},
         "knn": {"k_neighbors": 10, "distance": "hamming"},
         "output_dir": output_dir,
     }
@@ -344,8 +344,8 @@ class TestConfig:
         ({"seed": 7, "data": _SYNTHETIC, "knn": {"k_neighbors": 0}},
          "invalid knn config: k_neighbors must be >= 1"),
         ({"seed": 7, "data": _SYNTHETIC, "output_dir": 3}, "output_dir must be a string"),
-        ({"seed": 7, "data": _SYNTHETIC, "train": {"fixed_mask": "false"}},
-         "train.fixed_mask must be true or false"),
+        ({"seed": 7, "data": _SYNTHETIC, "train": {"fixed_mask": False}},
+         "unknown config key train.fixed_mask"),
         ({"seed": 7, "data": _SYNTHETIC, "train": {"epochs": 2.5}}, "train.epochs must be an integer"),
         ({"seed": 7, "data": _SYNTHETIC, "model": {"embedding_dim": 2.5}},
          "model.embedding_dim must be an integer"),
@@ -371,9 +371,9 @@ class TestConfig:
 
     def test_number_fields_take_integers_and_optional_fields_null(self):
         raw = {"seed": 7, "data": {**_SYNTHETIC, "triplets": None},
-               "train": {"learning_rate": 1, "fixed_mask": True}}
+               "train": {"learning_rate": 1}}
         cfg = experiment.parse_config(raw)
-        assert cfg.train.learning_rate == 1 and cfg.train.fixed_mask is True
+        assert cfg.train.learning_rate == 1
         assert cfg.data.triplets is None
 
     def test_synthetic_config_round_trip_and_echo(self, config_path, tmp_path):
@@ -671,8 +671,9 @@ class TestPipeline:
 
     def test_checkpoint_array_of_wrong_shape_exits_2(self, config_path, tmp_path, capsys):
         # each of these shapes broadcasts in the forward pass without an error;
-        # an archive that lacks an array or a meta key, and a file that is no
-        # archive at all, are refused the same way
+        # an array holding nan or inf (the first such one is named), an archive
+        # that lacks an array or a meta key, and a file that is no archive at
+        # all, are refused the same way
         train_dir = tmp_path / "train"
         main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
         with np.load(train_dir / "checkpoint.npz", allow_pickle=False) as data:
@@ -685,6 +686,11 @@ class TestPipeline:
                               f"checkpoint array {name} has shape {shape}")
             for name, shape in (("layers.0.b_p", (1,)), ("encoder.bias", (1,)), ("scorer.b2", (1, 1)))
         }
+        nan_weight = arrays["param/layers.1.w_self_e"].copy()
+        nan_weight[1, 2] = np.nan
+        cases["non-finite"] = (
+            {**arrays, "param/layers.1.w_self_e": nan_weight, "param/scorer.b2": np.array(np.inf)},
+            "checkpoint array layers.1.w_self_e holds a non-finite value")
         cases["missing"] = ({k: v for k, v in arrays.items() if k != "param/scorer.b2"},
                             "checkpoint has no array param/scorer.b2")
         cases["meta"] = ({**arrays, "meta": np.array(json.dumps(meta))},

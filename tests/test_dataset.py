@@ -56,7 +56,6 @@ def test_event_counts_and_frequencies():
     d = Dataset(4, 3, np.array([[0, 0], [1, 0], [2, 2]]), np.zeros((4, 2)))
     assert d.event_counts().tolist() == [2, 0, 1]
     assert np.allclose(d.event_frequencies(), [0.5, 0.0, 0.25])
-    assert d.patient_degrees().tolist() == [1, 1, 1, 0]
 
 
 
@@ -235,11 +234,15 @@ class TestLoadTriplets:
         with pytest.raises(ValueError, match=r"column 'name', row 3: cell .* would not read back"):
             write_table(path, {"row": range(3), "name": ["a", "b", cell]})
         assert not path.exists()
-        d = Dataset(1, 2, [[0, 0], [0, 1]], np.zeros((1, 2)), event_labels=["a", cell],
-                    patient_labels=["p"])
-        with pytest.raises(ValueError, match="column 'event_id', row 2"):
-            write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
-        assert not path.exists()
+        # a cohort is refused whole: neither of its files is written
+        for labels, refusal in (({"event_labels": ["a", cell], "patient_labels": ["p"]},
+                                 r"t\.csv: column 'event_id', row 2"),
+                                ({"event_labels": ["a", "b"], "patient_labels": [cell]},
+                                 r"d\.csv: column 'patient_id', row 1")):
+            d = Dataset(1, 2, [[0, 0], [0, 1]], np.zeros((1, 2)), **labels)
+            with pytest.raises(ValueError, match=refusal):
+                write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
+            assert not path.exists() and not (tmp_path / "d.csv").exists()
 
     def test_write_json_sorted_with_final_newline(self, tmp_path):
         write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]})
@@ -249,6 +252,14 @@ class TestLoadTriplets:
         _write(tmp_path / "t.csv", "")
         _write(tmp_path / "d.csv", "p1,50,X\n")
         with pytest.raises(ValueError, match="bad sex"):
+            load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("age", ["old", "nan", "NaN", "inf", "-Infinity"])
+    def test_bad_age_names_file_and_line(self, tmp_path, age):
+        # a non-finite age would reach every score through message passing
+        _write(tmp_path / "t.csv", "p1,e1\n")
+        _write(tmp_path / "d.csv", f"p1,50,M\np2,{age},F\n")
+        with pytest.raises(ValueError, match=rf"d\.csv: line 2: bad age '{age}'"):
             load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
 
 

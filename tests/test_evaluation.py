@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphimpute import evaluation
 from graphimpute.evaluation import (
     BiasProfile,
     MetricsReport,
@@ -404,14 +405,13 @@ class TestWriters:
         assert rows[0][:4] == ["bin", "freq_lo", "freq_hi", "num_events"]
         assert len(rows) == 11
 
-    def test_export_embeddings_files(self, tmp_path):
+    def test_export_embeddings_files(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         emb = rng.normal(size=(6, 3))
         epath = tmp_path / "emb.csv"
         npath = tmp_path / "nbr.csv"
-        export_event_embeddings(
-            emb, epath, npath, event_labels=[f"ev{j}" for j in range(6)], top_k=2
-        )
+        monkeypatch.setattr(evaluation, "EXPORT_NEIGHBORS", 2)
+        export_event_embeddings(emb, epath, npath, event_labels=[f"ev{j}" for j in range(6)])
         with open(epath) as fh:
             erows = list(csv.reader(fh))
         assert erows[0] == ["event", "category", "dim_0", "dim_1", "dim_2"]

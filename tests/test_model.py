@@ -490,11 +490,12 @@ class TestSvdInit:
             err = min(np.abs(got - expect).max(), np.abs(got + expect).max())
             assert err < 1e-8
 
-    def test_subspace_agrees_with_dense_svd(self):
+    def test_subspace_agrees_with_dense_svd(self, monkeypatch):
         rng = np.random.default_rng(21)
         mask = rng.random((150, 50)) < 0.15
         ds = _dataset_from_pairs(np.column_stack(np.nonzero(mask)), 150, 50)
-        emb = init_event_embeddings_svd(ds, 5, power_iters=20, seed=1)
+        monkeypatch.setattr(model, "SVD_POWER_ITERS", 20)
+        emb = init_event_embeddings_svd(ds, 5, seed=1)
         dense = np.zeros((150, 50))
         dense[mask] = 1.0
         _, _, vt = np.linalg.svd(dense)
