@@ -341,13 +341,14 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
     )
 
 
-# Patient x event cells per block in `generate_synthetic`, 2 MB per float64
-# temporary: the 5000x500 benchmark cohort is 10 blocks of 524 patients,
-# 50k x 2000 is 382 blocks of 131. Timed from 1 << 16 to 1 << 22 at both
-# sizes, generation took the same time throughout, and blocks above 1 << 18
-# raised the peak RSS of generating and fitting the benchmark cohort; at
-# 1 << 18 and below the fit sets that peak.
-GENERATE_BLOCK_CELLS = 1 << 18
+# Patient x event cells per block in `generate_synthetic`, 256 KB per float64
+# buffer: a calibration sweep's three buffers (768 KB), reused for every
+# block, stay in a core's 2 MB L2. The 5000x500 benchmark cohort is 77 blocks
+# of 65 patients, 50k x 2000 is 3125 blocks of 16. Timed with the sizes
+# interleaved in one process (one BLAS thread, 2-vCPU Xeon), from 1 << 13 to
+# 1 << 18: 156, 161, 148, 156, 174 and 195 ms at 5000x500 (best of 8), and
+# from 1 << 14, 6.8, 6.1, 5.8, 6.7 and 7.7 s at 50k x 2000 (best of 2).
+GENERATE_BLOCK_CELLS = 1 << 15
 # Newton on the log of the mean needs 5-6 sweeps at 5000x500 (plain Newton
 # took 9-10); bisection alone would need ~46 to shrink the [-30, 30] bracket
 # to 1e-12.
@@ -360,11 +361,10 @@ _CALIBRATE_TOLERANCE = 1e-8
 
 
 def fix_allocator_thresholds() -> None:
-    """Keep multi-MB temporaries (a generator sweep's blocks, an epoch's
-    arrays) on glibc's heap, so that they are not mapped, trimmed and faulted
-    in anew, however the process freed memory before. Setting either
-    threshold switches off glibc's dynamic one, so both are set. Does nothing
-    without glibc."""
+    """Keep multi-MB temporaries (an epoch's arrays) on glibc's heap, so that
+    they are not mapped, trimmed and faulted in anew, however the process
+    freed memory before. Setting either threshold switches off glibc's
+    dynamic one, so both are set. Does nothing without glibc."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
@@ -393,10 +393,11 @@ def generate_synthetic(
     independently with ``observe_probability``, so observed positives are
     always a subset of the ground truth. Demographics are two covariates
     (age-like, sex-like) correlated with the first latent coordinate. The
-    patient x event logits are formed in blocks of patients and never held
-    whole; the draws do not depend on the block size. Fixes glibc's
-    allocator thresholds for the whole process first
-    (`fix_allocator_thresholds`).
+    patient x event logits are formed in blocks of ``GENERATE_BLOCK_CELLS``
+    cells and never held whole; each calibration sweep, and the draw, writes
+    every block in place into a few buffers allocated once per call, and the
+    draws do not depend on the block size. Fixes glibc's allocator thresholds
+    for the whole process first (`fix_allocator_thresholds`).
 
     Returns the observed dataset and the ground-truth pairs.
     """
@@ -421,14 +422,7 @@ def generate_synthetic(
     blocks = [slice(start, start + rows) for start in range(0, num_patients, rows)]
     bias = _calibrate_intercepts(factors_p, factors_e, prevalence, blocks)
 
-    # One rng.random call per block draws the same stream as one call for all.
-    parts = []
-    for blk in blocks:
-        probs = _sigmoid(factors_p[blk] @ factors_e.T + bias)
-        truth_i, truth_j = np.nonzero(rng.random(size=probs.shape) < probs)
-        parts.append(np.column_stack([truth_i + blk.start, truth_j]))
-    ground_truth = np.concatenate(parts).astype(np.int64)
-
+    ground_truth = _draw_truth(rng, factors_p, factors_e, bias, blocks)
     observed_mask = rng.random(len(ground_truth)) < observe_probability
     positives = ground_truth[observed_mask]
 
@@ -450,6 +444,32 @@ def generate_synthetic(
         patient_labels=[f"p{i:06d}" for i in range(num_patients)],
     )
     return ds, ground_truth
+
+
+def _draw_truth(
+    rng: np.random.Generator, factors_p: np.ndarray, factors_e: np.ndarray, bias: np.ndarray,
+    blocks: list[slice],
+) -> np.ndarray:
+    """Ground-truth (patient, event) pairs, in ascending order: each cell is
+    positive where a uniform draw falls below sigmoid(factors_p @ factors_e.T
+    + bias). One ``rng.random`` call per block of patients draws the same
+    stream as one call for all."""
+    n = len(factors_e)
+    cells = len(factors_p[blocks[0]]) * n
+    x_buf, u_buf = np.empty((2, cells))
+    hit_buf = np.empty(cells, dtype=bool)
+    parts = []
+    for blk in blocks:
+        r = len(factors_p[blk])
+        x, u, hit = (buf[: r * n].reshape(r, n) for buf in (x_buf, u_buf, hit_buf))
+        np.matmul(factors_p[blk], factors_e.T, out=x)
+        x += bias
+        _sigmoid(x, out=x, scratch=u)
+        rng.random(out=u)
+        np.less(u, x, out=hit)
+        truth_i, truth_j = np.nonzero(hit)
+        parts.append(np.column_stack([truth_i + blk.start, truth_j]))
+    return np.concatenate(parts)
 
 
 def _calibrate_intercepts(
@@ -486,19 +506,32 @@ def _calibrate_intercepts(
     hi = np.full(n, 30.0)
     act = np.arange(n)
     log_ratio = np.zeros(n)
+    # Each block of r patients and w events still unsettled is the first
+    # r * w cells of each buffer, so every block runs in the same memory.
+    cells = max(len(factors_p[blk]) for blk in blocks) * n
+    x_buf, ex_buf, num_buf = np.empty((3, cells))
     for _ in range(_CALIBRATE_MAX_SWEEPS):
         fe = np.ascontiguousarray(factors_e[act].T)
         ba, lo_a, hi_a = b[act], lo[act], hi[act]
         total = np.zeros(len(act))
         slope = np.zeros(len(act))
         for blk in blocks:
-            x = factors_p[blk] @ fe
+            size = len(factors_p[blk]) * len(act)
+            x, ex, num = (buf[:size].reshape(-1, len(act)) for buf in (x_buf, ex_buf, num_buf))
+            np.matmul(factors_p[blk], fe, out=x)
             x += ba
             # One exp per cell, as in `_sigmoid`: d = 1 / (1 + exp(-|x|)) is
-            # the sigmoid of |x|, and the slope s(1 - s) is ex * d * d.
-            ex = np.exp(-np.abs(x))
-            d = 1.0 / (1.0 + ex)
-            total += np.where(x >= 0, d, ex * d).sum(0)
+            # the sigmoid of |x|, so the mean's cell is max(ex, x >= 0) * d
+            # (d where x >= 0, ex * d elsewhere), and the slope s(1 - s) is
+            # ex * d * d.
+            np.greater_equal(x, 0.0, out=num)
+            np.abs(x, out=ex)
+            np.negative(ex, out=ex)
+            np.exp(ex, out=ex)
+            d = np.add(ex, 1.0, out=x)
+            np.divide(1.0, d, out=d)
+            np.maximum(ex, num, out=num)
+            total += np.multiply(num, d, out=num).sum(0)
             ex *= d
             ex *= d
             slope += ex.sum(0)

@@ -78,6 +78,8 @@ def evaluate(
     outside their union is an unmeasured entry and enters the negatives. Under
     the train_frequency policy each event's cutoff is its train-set frequency;
     either way an entry is imputed positive iff its score is strictly greater.
+    A nan or infinite score is refused, naming its cell, since a nan cell would
+    count as a negative prediction.
     """
     if cutoff_policy not in CUTOFF_POLICIES:
         raise ValueError(f"unknown cutoff policy {cutoff_policy!r}")
@@ -85,6 +87,10 @@ def evaluate(
     if scores.ndim != 2:
         raise ValueError("scores must be a (test patients, events) matrix")
     t, n = scores.shape
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), n)
+        raise ValueError(f"score cell (test row {i}, event column {j}) is {scores[i, j]}, not finite")
     train_frequencies = np.asarray(train_frequencies, dtype=np.float64)
     if len(train_frequencies) != n:
         raise ValueError("train_frequencies length does not match score columns")

@@ -27,8 +27,9 @@ CHECKPOINT_FORMAT_VERSION = 4
 class CheckpointError(ValueError):
     """A checkpoint this code does not read: a file that is not an npz
     archive, a meta that is not JSON, an unsupported format version, a missing
-    array or meta key, an unknown config key, an event count below 1, an
-    array whose shape does not fit the stored config, or an array holding a
+    array or meta key, an unreadable (object) array, an unknown config key, an
+    event count below 1, an array whose shape does not fit the stored config,
+    an array of another dtype than integer or float, or an array holding a
     non-finite value."""
 
 
@@ -412,6 +413,8 @@ def _entry(mapping, key: str, kind: str):
         return mapping[key]
     except KeyError:
         raise CheckpointError(f"checkpoint has no {kind} {key}") from None
+    except ValueError as exc:  # an npz object array, which allow_pickle=False does not read
+        raise CheckpointError(f"checkpoint {kind} {key} cannot be read ({exc})") from None
 
 
 def _int_entry(mapping, key: str, kind: str) -> int:
@@ -428,8 +431,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
     keys and arrays this version does not use are ignored.
 
     Each array is copied into the one `init_params` makes for the stored config
-    and event count, and must have its shape and finite values, so that none
-    is broadcast later or turns every score nan.
+    and event count, and must have its shape, an integer or float dtype and
+    finite values, so that none is broadcast later, cast from a string or
+    truncated from a complex number, or turns every score nan.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -468,6 +472,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, str]:
             if stored.shape != tensor.shape:
                 raise CheckpointError(
                     f"checkpoint array {name} has shape {stored.shape}, expected {tensor.shape}"
+                )
+            if stored.dtype.kind not in "iuf":
+                raise CheckpointError(
+                    f"checkpoint array {name} has dtype {stored.dtype}, not a real number type"
                 )
             tensor[...] = stored
             if not np.isfinite(tensor).all():

@@ -671,9 +671,10 @@ class TestPipeline:
 
     def test_checkpoint_array_of_wrong_shape_exits_2(self, config_path, tmp_path, capsys):
         # each of these shapes broadcasts in the forward pass without an error;
-        # an array holding nan or inf (the first such one is named), an archive
-        # that lacks an array or a meta key, and a file that is no archive at
-        # all, are refused the same way
+        # an array holding nan or inf (the first such one is named), a string
+        # array and an object array (which numpy raised on, exiting 1), an
+        # archive that lacks an array or a meta key, and a file that is no
+        # archive at all, are refused the same way
         train_dir = tmp_path / "train"
         main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
         with np.load(train_dir / "checkpoint.npz", allow_pickle=False) as data:
@@ -691,6 +692,10 @@ class TestPipeline:
         cases["non-finite"] = (
             {**arrays, "param/layers.1.w_self_e": nan_weight, "param/scorer.b2": np.array(np.inf)},
             "checkpoint array layers.1.w_self_e holds a non-finite value")
+        cases["string"] = ({**arrays, "param/scorer.b2": np.array("x")},
+                           "checkpoint array scorer.b2 has dtype <U1, not a real number type")
+        cases["object"] = ({**arrays, "param/scorer.b2": np.array(None, dtype=object)},
+                           "checkpoint array param/scorer.b2 cannot be read")
         cases["missing"] = ({k: v for k, v in arrays.items() if k != "param/scorer.b2"},
                             "checkpoint has no array param/scorer.b2")
         cases["meta"] = ({**arrays, "meta": np.array(json.dumps(meta))},

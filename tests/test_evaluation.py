@@ -125,6 +125,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="heldout"):
             evaluate(scores, visible, np.array([[3, 0]]), freqs)
 
+    @pytest.mark.parametrize("bad, cell", [
+        (np.nan, "test row 1, event column 0"),
+        (np.inf, "test row 2, event column 3"),
+    ])
+    def test_non_finite_score_is_refused_naming_its_cell(self, bad, cell):
+        # a nan row used to count as negative predictions: the patient's
+        # held-out positive became a false negative, its other cells true
+        # negatives, and specificity read 0.333 where the finite rows give 0
+        scores = np.full((3, 4), 0.9)
+        if np.isnan(bad):
+            scores[1] = bad
+        else:
+            scores[2, 3] = bad
+        visible = np.array([[0, 0], [1, 1], [2, 2]])
+        heldout = np.array([[0, 1], [1, 0], [2, 0]])
+        with pytest.raises(ValueError, match=rf"score cell \({cell}\) is {bad}, not finite"):
+            evaluate(scores, visible, heldout, np.full(4, 0.3))
+
     def test_summary_recomputes_from_per_event_values(self):
         rng = np.random.default_rng(0)
         scores = rng.random((30, 8))
