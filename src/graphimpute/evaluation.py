@@ -87,9 +87,9 @@ def evaluate(
     if scores.ndim != 2:
         raise ValueError("scores must be a (test patients, events) matrix")
     t, n = scores.shape
-    finite = np.isfinite(scores)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), n)
+    # the mask is not kept, so the grid-sized `predicted` below reuses its memory
+    if not np.isfinite(scores).all():
+        i, j = divmod(int(np.argmin(np.isfinite(scores))), n)
         raise ValueError(f"score cell (test row {i}, event column {j}) is {scores[i, j]}, not finite")
     train_frequencies = np.asarray(train_frequencies, dtype=np.float64)
     if len(train_frequencies) != n:
