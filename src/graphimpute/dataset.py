@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logit
 
 # Demographic features per patient: (age_years, sex).
 DEMOGRAPHICS_DIM = 2
@@ -35,9 +34,10 @@ def encode_pairs(pairs: np.ndarray, num_events: int) -> np.ndarray:
 
 
 def unique_codes(codes: np.ndarray) -> np.ndarray:
-    """Ascending distinct values of an integer code array. One sort; numpy 2.4's
-    ``np.unique`` hashes before it sorts and took ~20x as long on 7k codes."""
-    codes = np.sort(codes)
+    """Ascending distinct values of an integer code array. One stable sort,
+    linear on codes already in order; numpy 2.4's ``np.unique`` hashes before
+    it sorts and took ~20x as long on 7k codes."""
+    codes = np.sort(codes, kind="stable")
     keep = np.ones(len(codes), dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
     return codes[keep]
@@ -325,8 +325,7 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
         n_mask = _round_half_up(spec.test_mask_fraction * degree)
         if n_mask == 0:
             continue
-        picked = rng.choice(np.arange(lo, hi), size=n_mask, replace=False)
-        visible_mask[picked] = False
+        visible_mask[lo + rng.choice(degree, size=n_mask, replace=False)] = False
 
     test_visible = replace(test_all, positives=pos[visible_mask])
     if event_index_map is None:
@@ -501,7 +500,7 @@ def _calibrate_intercepts(
     mu = factors_p.mean(0)
     centred = factors_p - mu
     v = np.einsum("jk,kl,jl->j", factors_e, centred.T @ centred / m, factors_e)
-    b = logit(prevalence) * np.sqrt(1.0 + np.pi * v / 8.0) - factors_e @ mu
+    b = _logit(prevalence) * np.sqrt(1.0 + np.pi * v / 8.0) - factors_e @ mu
     lo = np.full(n, -30.0)
     hi = np.full(n, 30.0)
     act = np.arange(n)
@@ -557,6 +556,19 @@ def _calibrate_intercepts(
             f"prevalence (worst relative error {rel_err[off].max():.3g})"
         )
     return b
+
+
+def _logit(p: np.ndarray) -> np.ndarray:
+    """log(p / (1 - p)) of each value of a float array in (0, 1), bit for bit
+    as ``scipy.special.logit`` gives it: scipy's two-branch formula, one value
+    at a time through ``math``, whose log and log1p are the platform libm's,
+    as in scipy's compiled loop (numpy's vectorized log and log1p round some
+    values differently)."""
+    return np.array([
+        math.log(x / (1.0 - x)) if x < 0.3 or x > 0.65
+        else math.log1p(2.0 * (x - 0.5)) - math.log1p(-2.0 * (x - 0.5))
+        for x in p.tolist()
+    ])
 
 
 def _sigmoid(

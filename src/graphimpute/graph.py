@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import encode_pairs
+from .dataset import decode_pairs, encode_pairs
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,26 @@ def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGraph:
-    """Build the patient-side CSR from distinct (patient, event) pairs in any order."""
+    """Build the patient-side CSR from distinct (patient, event) pairs in any
+    order. Pairs whose codes already ascend, as every pipeline caller's do,
+    are checked in one pass and not sorted."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) > 0:
         if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= num_patients:
             raise ValueError("patient index out of range")
         if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_events:
             raise ValueError("event index out of range")
-    # stable (timsort): linear on codes already in order, like each epoch's visible edges
-    codes = np.sort(encode_pairs(pairs, num_events), kind="stable")
-    if np.any(codes[1:] == codes[:-1]):
-        raise ValueError("duplicate edges in input")
-    row_starts = np.arange(num_patients + 1, dtype=np.int64) * num_events
+    codes = encode_pairs(pairs, num_events)
+    if np.any(codes[1:] <= codes[:-1]):
+        codes = np.sort(codes, kind="stable")
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("duplicate edges in input")
+        pairs = decode_pairs(codes, num_events)
+    patient_indptr = np.zeros(num_patients + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=num_patients), out=patient_indptr[1:])
     return BipartiteGraph(
         num_patients=num_patients,
         num_events=num_events,
-        patient_indptr=np.searchsorted(codes, row_starts),
-        patient_indices=codes % num_events,
+        patient_indptr=patient_indptr,
+        patient_indices=pairs[:, 1].copy(),
     )
-

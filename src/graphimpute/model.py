@@ -207,7 +207,9 @@ def init_event_embeddings_svd(train: Dataset, d: int, seed=0) -> np.ndarray:
 
 def encode_patients(params: ModelParams, demographics: np.ndarray) -> np.ndarray:
     """Project (standardized) demographics to the embedding space; inductive."""
-    return np.maximum(demographics @ params.encoder_weight + params.encoder_bias, 0.0)
+    h = demographics @ params.encoder_weight
+    h += params.encoder_bias
+    return np.maximum(h, 0.0, out=h)
 
 
 def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csc_matrix]:

@@ -161,22 +161,23 @@ class TestArgumentHandling:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_importing_pipeline_loads_no_scipy_stats(self):
+    def test_importing_pipeline_loads_no_scipy_stats_or_special(self):
         # scipy.stats (and the optimize and linalg modules it pulls in) is
-        # loaded on demand by recall_frequency_spearman alone
+        # loaded on demand by recall_frequency_spearman alone; scipy.special
+        # is not loaded at all (the generator's logit is dataset._logit)
         src = str(Path(graphimpute.__file__).resolve().parent.parent)
         modules = ("experiment", "training", "model", "baselines", "dataset", "evaluation")
         code = (
             "import importlib, sys\n"
             f"for name in {modules!r}:\n"
             "    importlib.import_module('graphimpute.' + name)\n"
-            "print('scipy.sparse' in sys.modules, 'scipy.stats' in sys.modules)\n"
+            "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.stats', 'scipy.special')))\n"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["True", "False", "False"]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     @pytest.mark.parametrize("flags, start, expect", [

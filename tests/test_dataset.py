@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from graphimpute import dataset as ds_mod
 from graphimpute.dataset import (
@@ -107,6 +107,16 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     y = x.reshape(1, -1).copy()
     assert ds_mod._sigmoid(y, out=y, scratch=np.full(y.shape, np.nan)) is y
     assert y.tobytes() == expected.tobytes() and np.isnan(y[0, -1])
+
+
+def test_logit_matches_scipy_bit_for_bit():
+    # the generator's starting intercepts; the same formula in numpy's log and
+    # log1p, or the one-branch log(p / (1 - p)), differs on ~2% and ~25% of these
+    rng = np.random.default_rng(0)
+    edges = [np.nextafter(v, t) for v in (0.3, 0.65) for t in (0.0, v, 1.0)]
+    p = np.concatenate([rng.random(300_000), rng.uniform(1e-4, 0.4, 300_000),
+                        np.linspace(0.29, 0.66, 100_001), edges])
+    assert np.array_equal(ds_mod._logit(p).view(np.uint64), logit(p).view(np.uint64))
 
 
 class TestLoadTriplets:
@@ -343,6 +353,16 @@ class TestSplit:
         assert np.array_equal(a.train_patient_indices, b.train_patient_indices)
         assert np.array_equal(a.test_heldout, b.test_heldout)
         assert np.array_equal(a.test_visible.positives, b.test_visible.positives)
+
+    def test_benchmark_heldout_digest(self):
+        # the held-out cells of the seed-101 benchmark split (split seed 5),
+        # as drawn by one rng.choice(np.arange(lo, hi)) per test patient
+        ds, _ = generate_synthetic(5000, 500, 10, 0.02, seed=101)
+        filtered, emap = filter_rare_events(ds, 0.001)
+        sd = split(filtered, SplitSpec(0.7, 0.3, 0.001, seed=5), event_index_map=emap)
+        assert hashlib.sha256(sd.test_heldout.tobytes()).hexdigest() == (
+            "b07db56655a53542de9d9bff8d8dedbeaba7ff5b8ce27dd7b1111d6d83339123"
+        )
 
     def test_degree_one_patient_keeps_positive(self):
         # round(0.3 * 1) = 0 held out

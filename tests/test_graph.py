@@ -35,9 +35,37 @@ def test_build_rejects_out_of_range():
         build(np.array([[2, 0]]), 2, 3)
 
 
-def test_build_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        build(np.array([[0, 1], [0, 1]]), 2, 3)
+@pytest.mark.parametrize("pairs", [
+    [[0, 1], [0, 1]],
+    [[0, 1], [0, 1], [1, 0]],
+    [[0, 1], [1, 2], [0, 1]],
+    [[1, 2], [0, 0], [1, 2], [0, 1]],
+], ids=["adjacent", "adjacent-sorted", "apart", "apart-unsorted"])
+def test_build_rejects_duplicates(pairs):
+    with pytest.raises(ValueError, match="^duplicate edges in input$"):
+        build(np.array(pairs), 2, 3)
+
+
+def test_shuffled_input_builds_the_sorted_graph():
+    rng = np.random.default_rng(3)
+    codes = np.sort(rng.choice(40 * 25, size=300, replace=False))
+    pairs = np.column_stack([codes // 25, codes % 25])
+    g = build(pairs, 40, 25)
+    shuffled = build(pairs[rng.permutation(len(pairs))], 40, 25)
+    for name in ("patient_indptr", "patient_indices"):
+        a, b = getattr(g, name), getattr(shuffled, name)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+    assert np.array_equal(g.all_edges(), pairs)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+def test_trailing_patients_without_edges(order):
+    pairs = np.array([[0, 2], [1, 0], [1, 1]])[order]
+    g = build(pairs, 5, 3)
+    assert g.patient_indptr.tolist() == [0, 1, 3, 3, 3, 3]
+    assert g.patient_indices.tolist() == [2, 0, 1]
+    assert g.patient_neighbors(4).tolist() == []
     with pytest.raises(ValueError, match="duplicate"):
         build(np.array([[0, 1], [1, 0], [0, 1]]), 2, 3)
 
