@@ -37,7 +37,7 @@ def test_build_rejects_out_of_range():
 
 def test_build_rejects_duplicates():
     # adjacent or apart, in otherwise sorted or unsorted input
-    for pairs in ([[0, 1], [0, 1]], [[0, 1], [0, 1], [1, 0]], [[0, 1], [1, 2], [0, 1]],
+    for pairs in ([[0, 1], [0, 1]], [[0, 1], [0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]],
                   [[1, 2], [0, 0], [1, 2], [0, 1]]):
         with pytest.raises(ValueError, match="^duplicate edges in input$"):
             build(np.array(pairs), 2, 3)
@@ -63,8 +63,6 @@ def test_trailing_patients_without_edges(order):
     assert g.patient_indptr.tolist() == [0, 1, 3, 3, 3, 3]
     assert g.patient_indices.tolist() == [2, 0, 1]
     assert g.patient_neighbors(4).tolist() == []
-    with pytest.raises(ValueError, match="duplicate"):
-        build(np.array([[0, 1], [1, 0], [0, 1]]), 2, 3)
 
 
 def test_adjacency_sorted_and_mutually_transposed(tiny_graph):
