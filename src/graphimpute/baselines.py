@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Dataset, indicator_matrix
+from .dataset import Dataset
+from .graph import build
 
 DISTANCES = ("hamming", "jaccard")
 # Query x train distance cells per block in `knn_impute`; each cell holds a
@@ -74,7 +75,8 @@ def knn_impute(
     """Score unmeasured entries by the fraction of nearest train patients with
     the event.
 
-    Each test patient is represented by its visible positives only. Returns
+    Each test patient is represented by its visible positives only, and a
+    repeated visible pair is refused, as `graph.build` refuses it. Returns
     the full (test patients, events) score grid; scores lie on the grid
     {0, 1/k, ..., 1}.
     """
@@ -84,8 +86,8 @@ def knn_impute(
     k = cfg.k_neighbors
     if k > m:
         raise ValueError(f"k_neighbors={k} exceeds {m} train patients")
-    train_matrix = indicator_matrix(train.positives, m, n)
-    query = indicator_matrix(test_visible, num_test_patients, n)
+    train_matrix = build(train.positives, m, n).matrix()
+    query = build(test_visible, num_test_patients, n).matrix()
     out = np.empty((num_test_patients, n))
     rows = max(1, KNN_BLOCK_CELLS // m)
     for start in range(0, num_test_patients, rows):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 # Demographic features per patient: (age_years, sex).
 DEMOGRAPHICS_DIM = 2
@@ -48,17 +47,6 @@ def decode_pairs(codes: np.ndarray, num_events: int) -> np.ndarray:
     pairs[:, 0] = codes // num_events
     pairs[:, 1] = codes % num_events
     return pairs
-
-
-def indicator_matrix(pairs: np.ndarray, num_rows: int, num_cols: int) -> sp.csr_matrix:
-    """0/1 float64 CSR matrix with a one at each (row, col) pair; a repeated
-    pair still gives a one."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    x = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(num_rows, num_cols)
-    )
-    x.data[:] = 1.0
-    return x
 
 
 @dataclass(frozen=True)
@@ -608,24 +596,6 @@ def standardize_demographics(demographics: np.ndarray, stats: tuple[float, float
     out = demographics.copy()
     out[:, 0] = (out[:, 0] - mean) / std
     return out
-
-
-def write_split_manifest(path, spec: SplitSpec, sd: SplitDataset) -> None:
-    """Text record of the split for reproducibility: seed, fractions, counts."""
-    lines = [
-        f"seed: {spec.seed}",
-        f"train_fraction: {spec.train_fraction}",
-        f"test_mask_fraction: {spec.test_mask_fraction}",
-        f"min_event_frequency: {spec.min_event_frequency}",
-        f"num_events: {sd.train.num_events}",
-        f"train_patients: {sd.train.num_patients}",
-        f"test_patients: {sd.test_visible.num_patients}",
-        f"train_positives: {len(sd.train.positives)}",
-        f"test_visible_positives: {len(sd.test_visible.positives)}",
-        f"test_heldout_positives: {len(sd.test_heldout)}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _table_text(path, columns: dict) -> str:

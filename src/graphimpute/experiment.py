@@ -36,7 +36,6 @@ from .dataset import (
     standardize_demographics,
     write_dataset,
     write_json,
-    write_split_manifest,
     write_table,
 )
 from .baselines import KnnConfig
@@ -364,6 +363,22 @@ class RunWriter:
         write_json(path, entries)
 
 
+def _split_record(cfg: RunConfig, sd: SplitDataset) -> dict:
+    """The `split` record of the train and split manifests: the derived split
+    seed, the partition's sizes and `train_sha256`, the fingerprint that a
+    checkpoint stores and `evaluate` compares against."""
+    return {
+        "seed": cfg.split.seed,
+        "events": sd.train.num_events,
+        "train_patients": sd.train.num_patients,
+        "test_patients": sd.test_visible.num_patients,
+        "train_positives": len(sd.train.positives),
+        "test_visible_positives": len(sd.test_visible.positives),
+        "test_heldout_positives": len(sd.test_heldout),
+        "train_sha256": sd.train_sha256(),
+    }
+
+
 def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDataset]:
     """Full training command: data, split, fit, checkpoint + log + manifest."""
     run = RunWriter(run_dir, "train", cfg)
@@ -373,9 +388,9 @@ def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDatas
     with run.stage("fit"):
         state = fit(sd.train, cfg.model, cfg.train, log=log)
     with run.stage("write"):
-        save_checkpoint(run.path("checkpoint.npz"), cfg.model, state.params, sd.train_sha256())
+        record = _split_record(cfg, sd)
+        save_checkpoint(run.path("checkpoint.npz"), cfg.model, state.params, record["train_sha256"])
         write_training_log(state, run.path("training_log.csv"))
-        write_split_manifest(run.path("split_manifest.txt"), cfg.split, sd)
     run.close(
         {
             "dataset": {
@@ -385,6 +400,7 @@ def run_train(cfg: RunConfig, run_dir, log=None) -> tuple[TrainState, SplitDatas
                 "observed_positives": len(ds.positives),
             },
             "final_loss": state.epoch_stats[-1]["loss"] if state.epoch_stats else None,
+            "split": record,
         },
         epoch_seconds=[row["wall_seconds"] for row in state.epoch_stats],
     )
@@ -517,13 +533,12 @@ def run_split(cfg: RunConfig, run_dir) -> SplitDataset:
     with run.stage("data"):
         sd = prepare_split(cfg, prepare_dataset(cfg))
     with run.stage("write"):
-        write_split_manifest(run.path("split_manifest.txt"), cfg.split, sd)
         write_dataset(sd.train, run.path("train_triplets.csv"), run.path("train_demographics.csv"))
         test = sd.test_visible
         write_dataset(test, run.path("test_visible_triplets.csv"), run.path("test_demographics.csv"))
         heldout = pair_columns(sd.test_heldout, test.patient_labels, test.event_labels)
         write_table(run.path("test_heldout.csv"), heldout)
-    run.close()
+    run.close({"split": _split_record(cfg, sd)})
     return sd
 
 

@@ -1,11 +1,12 @@
 """Sparse bipartite adjacency over patient and event partitions.
 
 One patient-side CSR (rows are patients, sorted event indices) gives O(1)
-patient degree lookups and cache-friendly neighbor iteration. The event side
-is its transpose, formed where it is needed (`model.mean_operators`). Graphs
-are immutable, so the edge list, the sorted edge codes and a packed
-membership bitset of patients x events bits (O(1) membership tests) are each
-built once per graph, on first use, and handed out read-only.
+patient degree lookups and cache-friendly neighbor iteration; `matrix` is
+the one constructor of its scipy CSR. The event side is its transpose,
+formed where it is needed (`model.mean_operators`). Graphs are immutable, so
+the edge list, the sorted edge codes and a packed membership bitset of
+patients x events bits (O(1) membership tests) are each built once per
+graph, on first use, and handed out read-only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataset import decode_pairs, encode_pairs
 
@@ -40,6 +42,14 @@ class BipartiteGraph:
 
     def event_degrees(self) -> np.ndarray:
         return np.bincount(self.patient_indices, minlength=self.num_events)
+
+    def matrix(self, data=None) -> sp.csr_matrix:
+        """The patients x events CSR over this graph's rows, with ``data`` (one
+        value per edge, in edge order) at its cells, ones by default."""
+        if data is None:
+            data = np.ones(self.edge_count)
+        shape = (self.num_patients, self.num_events)
+        return sp.csr_matrix((data, self.patient_indices, self.patient_indptr), shape=shape)
 
     def all_edges(self) -> np.ndarray:
         """All edges as a lexicographically sorted (k, 2) array (read-only)."""

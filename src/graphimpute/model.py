@@ -18,8 +18,8 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid, indicator_matrix
-from .graph import BipartiteGraph
+from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid
+from .graph import BipartiteGraph, build
 
 CHECKPOINT_FORMAT_VERSION = 4
 
@@ -175,7 +175,7 @@ def init_event_embeddings_svd(train: Dataset, d: int, seed=0) -> np.ndarray:
     """
     m, n = train.num_patients, train.num_events
     rng = np.random.default_rng(seed)
-    x = indicator_matrix(train.positives, m, n)
+    x = build(train.positives, m, n).matrix()
 
     k = min(d, m, n)
     width = min(k + 10, n)
@@ -227,14 +227,7 @@ def mean_operators(g: BipartiteGraph) -> tuple[sp.csr_matrix, sp.csc_matrix]:
     deg_e = g.event_degrees()
     inv_p = np.divide(1.0, deg_p, out=np.zeros(len(deg_p)), where=deg_p > 0)
     inv_e = np.divide(1.0, deg_e, out=np.zeros(len(deg_e)), where=deg_e > 0)
-    shape = (g.num_patients, g.num_events)
-    ap = sp.csr_matrix(
-        (np.repeat(inv_p, deg_p), g.patient_indices, g.patient_indptr), shape=shape
-    )
-    ae = sp.csr_matrix(
-        (inv_e[g.patient_indices], g.patient_indices, g.patient_indptr), shape=shape
-    ).T
-    return ap, ae
+    return g.matrix(np.repeat(inv_p, deg_p)), g.matrix(inv_e[g.patient_indices]).T
 
 
 @dataclass

@@ -10,7 +10,8 @@ from graphimpute.baselines import (
     knn_impute,
     nearest_train_patients,
 )
-from graphimpute.dataset import Dataset, indicator_matrix
+from graphimpute.dataset import Dataset
+from graphimpute.graph import build
 
 
 def _dataset(pairs, m, n):
@@ -23,7 +24,7 @@ def _dataset(pairs, m, n):
 
 
 def _csr(mask):
-    return indicator_matrix(np.argwhere(mask), *mask.shape)
+    return build(np.argwhere(mask), *mask.shape).matrix()
 
 
 def _nearest(train_bool, query_bool, k, distance):
@@ -101,8 +102,8 @@ class TestNearestTrainPatients:
             train_bool = rng.random((12, n)) < 0.4
             query_bool = rng.random((4, n)) < 0.4
             padded = -(-n // 8) * 8
-            train_padded = indicator_matrix(np.argwhere(train_bool), 12, padded)
-            query_padded = indicator_matrix(np.argwhere(query_bool), 4, padded)
+            train_padded = build(np.argwhere(train_bool), 12, padded).matrix()
+            query_padded = build(np.argwhere(query_bool), 4, padded).matrix()
             for distance in ("hamming", "jaccard"):
                 expect = _brute_force_knn(train_bool, query_bool, 3, distance)
                 got = _nearest(train_bool, query_bool, 3, distance)
@@ -175,6 +176,11 @@ class TestKnnImpute:
         train = _dataset([[0, 0]], 1, 2)
         with pytest.raises(ValueError, match="k_neighbors"):
             knn_impute(train, np.empty((0, 2)), 1, KnnConfig(k_neighbors=2))
+
+    def test_repeated_visible_pair_raises(self):
+        train = _dataset([[0, 0], [1, 1]], 2, 2)
+        with pytest.raises(ValueError, match="^duplicate edges in input$"):
+            knn_impute(train, np.array([[0, 1], [0, 1]]), 1, KnnConfig(k_neighbors=1))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -15,6 +15,7 @@ import graphimpute
 from graphimpute import experiment
 from graphimpute.cli import build_parser, main
 from graphimpute.dataset import load_triplets
+from graphimpute.model import load_checkpoint
 
 
 def _write_config(path, **updates):
@@ -427,7 +428,22 @@ class TestPipeline:
         assert main(["split", "--config", str(config_path), "--run-dir", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "train" in out and "held-out" in out
-        assert (run_dir / "split_manifest.txt").exists()
+        assert not (run_dir / "split_manifest.txt").exists()
+        record = json.loads((run_dir / "manifest.json").read_text())["split"]
+        rows = lambda name: len(list(csv.DictReader(open(run_dir / name))))
+        cfg = experiment.load_config(config_path)
+        sd = experiment.prepare_split(cfg, experiment.prepare_dataset(cfg))
+        assert record == {
+            "seed": cfg.split.seed,
+            "events": sd.train.num_events,
+            "train_patients": rows("train_demographics.csv"),
+            "test_patients": rows("test_demographics.csv"),
+            "train_positives": rows("train_triplets.csv"),
+            "test_visible_positives": rows("test_visible_triplets.csv"),
+            "test_heldout_positives": rows("test_heldout.csv"),
+            "train_sha256": sd.train_sha256(),
+        }
+        assert record["train_patients"] + record["test_patients"] == 120
 
     def test_split_files_name_cohort_patients(self, config_path, tmp_path):
         gen, spl = tmp_path / "gen", tmp_path / "split"
@@ -466,6 +482,10 @@ class TestPipeline:
         assert len(rows) == 4
         manifest = json.loads((train_dir / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
+        # the split record names the split the checkpoint was trained on
+        assert manifest["split"]["train_sha256"] == load_checkpoint(ckpt)[2]
+        assert manifest["split"]["train_positives"] > 0
+        assert "split_manifest.txt" not in manifest["files"]
 
         eval_dir = tmp_path / "eval"
         assert main([

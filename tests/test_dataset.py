@@ -15,7 +15,6 @@ from graphimpute.dataset import (
     demographics_stats,
     filter_rare_events,
     generate_synthetic,
-    indicator_matrix,
     load_triplets,
     split,
     standardize_demographics,
@@ -56,20 +55,6 @@ def test_event_counts_and_frequencies():
     d = Dataset(4, 3, np.array([[0, 0], [1, 0], [2, 2]]), np.zeros((4, 2)))
     assert d.event_counts().tolist() == [2, 0, 1]
     assert np.allclose(d.event_frequencies(), [0.5, 0.0, 0.25])
-
-
-
-class TestIndicatorMatrix:
-    def test_sets_exact_cells(self):
-        # the repeated pair still gives a one
-        out = indicator_matrix(np.array([[0, 1], [2, 0], [0, 1]]), 3, 2)
-        assert out.dtype == np.float64
-        assert out.toarray().tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
-        assert out.nnz == 2
-
-    def test_empty_pairs(self):
-        out = indicator_matrix(np.empty((0, 2), dtype=np.int64), 2, 2)
-        assert out.shape == (2, 2) and out.nnz == 0
 
 
 def _two_branch_sigmoid(x):

@@ -26,6 +26,9 @@ def test_build_empty():
     assert g.patient_degrees().tolist() == [0, 0, 0, 0]
     assert g.event_degrees().tolist() == [0, 0, 0]
     assert g.edge_count == 0
+    x = g.matrix()
+    assert x.shape == (4, 3) and x.nnz == 0
+    assert np.array_equal(x.toarray(), np.zeros((4, 3)))
 
 
 def test_build_rejects_out_of_range():
@@ -160,3 +163,8 @@ def test_transpose_property_random_graphs(data):
         (int(i), j) for j in range(n) for i in event_neighbors(g, j)
     }
     assert from_patients == from_events == cells
+    dense = np.zeros((m, n))
+    dense[tuple(np.array(sorted(cells), dtype=np.int64).reshape(-1, 2).T)] = 1.0
+    x = g.matrix()
+    assert x.dtype == np.float64 and x.nnz == len(cells)
+    assert np.array_equal(x.toarray(), dense)
