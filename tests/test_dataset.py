@@ -22,6 +22,7 @@ from graphimpute.dataset import (
     write_json,
     write_table,
 )
+from graphimpute.graph import build
 
 
 def _write(path, text):
@@ -55,6 +56,15 @@ def test_event_counts_and_frequencies():
     d = Dataset(4, 3, np.array([[0, 0], [1, 0], [2, 2]]), np.zeros((4, 2)))
     assert d.event_counts().tolist() == [2, 0, 1]
     assert np.allclose(d.event_frequencies(), [0.5, 0.0, 0.25])
+
+
+class TestIndicatorMatrix:
+    def test_empty_pairs(self):
+        # a dataset without positives gives an all-zero patients x events matrix
+        d = Dataset(2, 2, [], np.zeros((2, 2)))
+        out = build(d.positives, d.num_patients, d.num_events).matrix()
+        assert out.dtype == np.float64
+        assert out.shape == (2, 2) and out.nnz == 0
 
 
 def _two_branch_sigmoid(x):
