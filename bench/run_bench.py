@@ -14,7 +14,7 @@ stage runs once and is timed on its own, in this order:
   (graph build, SVD initialisation) apart from each epoch;
 - `score_grid_s`: `experiment.score_test_grid` over the full test grid;
 - `evaluate_s`: `experiment.evaluate_grid` under each cutoff policy;
-- `knn_s`: one Hamming k-NN job (k = 10) over the same test grid.
+- `knn_s`: one Jaccard k-NN job (k = 10) over the same test grid.
 
 `experiment.StageTimer`, the timer behind each command's `telemetry.json`,
 reads the process's peak RSS and minor page faults after every stage, so the
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         with stage(f"evaluate_{policy}_s"):
             reports[policy] = experiment.evaluate_grid(grid, sd, policy)
     del grid
-    knn = baselines.KnnConfig(k_neighbors=10, distance="hamming")
+    knn = baselines.KnnConfig(k_neighbors=10)
     with stage("knn_s"):
         baselines.knn_impute(sd.train, sd.test_visible.positives, sd.test_visible.num_patients, knn)
     for name, rec in stage.items():

@@ -3,8 +3,8 @@ and the train-frequency predictor.
 
 Neighbor search is exact brute force. One product of the sparse 0/1 train
 matrix with a dense block of queries gives every query-train intersection
-count (small integers, exact in float64), and both distances follow from
-those counts and the row sizes; no approximate index. A dense product suits
+count (small integers, exact in float64), and the Jaccard distance follows
+from those counts and the row sizes; no approximate index. A dense product suits
 counts that are dense anyway: at 50k x 2000 each query shares an event with
 half the train rows. Ties at the k-th distance go to the lower train patient
 index, so results are reproducible.
@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from .dataset import Dataset
 from .graph import build
 
-DISTANCES = ("hamming", "jaccard")
 # Query x train distance cells per block in `knn_impute`; each cell holds a
 # few float64 temporaries. Chosen by timing and peak memory at the benchmark
 # size (~3500 train patients, so 74 query rows per block).
@@ -30,33 +29,26 @@ KNN_BLOCK_CELLS = 1 << 18
 @dataclass(frozen=True)
 class KnnConfig:
     k_neighbors: int = 10
-    distance: str = "hamming"
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.distance not in DISTANCES:
-            raise ValueError(f"unknown distance {self.distance!r}")
 
 
-def nearest_train_patients(
-    train: sp.csr_matrix, query: sp.csr_matrix, k: int, distance: str
-) -> np.ndarray:
+def nearest_train_patients(train: sp.csr_matrix, query: sp.csr_matrix, k: int) -> np.ndarray:
     """(query rows, train rows) mask of each query's k nearest train rows.
 
-    Inputs are 0/1 CSR matrices over the same columns. Hamming counts
-    differing entries; Jaccard is 1 - |intersection| / |union| with
-    empty-vs-empty at 0. The result holds one dense row per query, so callers
-    pass the queries in blocks.
+    Inputs are 0/1 CSR matrices over the same columns. The distance is
+    Jaccard, (|union| - |intersection|) / |union|, with empty-vs-empty at 0.
+    The result holds one dense row per query, so callers pass the queries in
+    blocks.
     """
     inter = np.ascontiguousarray((train @ query.toarray().T).T)
     size_q = np.diff(query.indptr)[:, None]
     size_t = np.diff(train.indptr)[None, :]
-    if distance == "hamming":
-        dist = size_q + size_t - 2.0 * inter
-    else:
-        union = size_q + size_t - inter
-        dist = 1.0 - np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    union = size_q + size_t - inter
+    dist = union - inter
+    dist /= np.maximum(union, 1, out=union)
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
     nearest = dist < kth
     # Fill the remaining places with the lowest-index rows at the k-th distance.
@@ -92,7 +84,7 @@ def knn_impute(
     rows = max(1, KNN_BLOCK_CELLS // m)
     for start in range(0, num_test_patients, rows):
         stop = min(start + rows, num_test_patients)
-        nearest = nearest_train_patients(train_matrix, query[start:stop], k, cfg.distance)
+        nearest = nearest_train_patients(train_matrix, query[start:stop], k)
         votes = sp.csr_matrix(nearest, dtype=np.float64) @ train_matrix
         out[start:stop] = votes.toarray() / k
     return out

@@ -223,18 +223,16 @@ def _dense_rows(pairs, num_rows, num_cols):
     return out
 
 
-def _brute_force_knn(train_bool, query_bool, k, distance):
+def _brute_force_knn(train_bool, query_bool, k):
+    """Score grid of k-NN voting under the Jaccard distance, ties to the lower train index."""
     m = train_bool.shape[0]
     scores = np.empty((query_bool.shape[0], train_bool.shape[1]))
     for qi, q in enumerate(query_bool):
         dists = []
         for ti in range(m):
             t = train_bool[ti]
-            if distance == "hamming":
-                d = np.count_nonzero(q != t)
-            else:
-                union = np.count_nonzero(q | t)
-                d = 0.0 if union == 0 else np.count_nonzero(q != t) / union
+            union = np.count_nonzero(q | t)
+            d = 0.0 if union == 0 else np.count_nonzero(q != t) / union
             dists.append((d, ti))
         dists.sort()
         nearest = [ti for _, ti in dists[:k]]
@@ -251,7 +249,7 @@ def test_knn_matches_brute_force_exactly():
     got = knn_impute(train, query_pairs, t, cfg)
     train_bool = _dense_rows(train.positives, m, n)
     query_bool = _dense_rows(query_pairs, t, n)
-    expected = _brute_force_knn(train_bool, query_bool, cfg.k_neighbors, cfg.distance)
+    expected = _brute_force_knn(train_bool, query_bool, cfg.k_neighbors)
     same = np.array_equal(got, expected)
     _verdict("acceptance 6 knn oracle", same, f"all {t}x{n} scores identical: {same}")
 

@@ -11,6 +11,7 @@ from graphimpute.baselines import (
     nearest_train_patients,
 )
 from graphimpute.dataset import Dataset
+from graphimpute.experiment import ConfigError, parse_config
 from graphimpute.graph import build
 
 
@@ -27,24 +28,21 @@ def _csr(mask):
     return build(np.argwhere(mask), *mask.shape).matrix()
 
 
-def _nearest(train_bool, query_bool, k, distance):
-    return nearest_train_patients(_csr(train_bool), _csr(query_bool), k, distance)
+def _nearest(train_bool, query_bool, k):
+    return nearest_train_patients(_csr(train_bool), _csr(query_bool), k)
 
 
-def _brute_force_knn(train_bool, query_bool, k, distance):
-    """Mask of the k smallest (distance, train index) pairs per query row."""
+def _brute_force_knn(train_bool, query_bool, k):
+    """Mask of the k smallest (Jaccard distance, train index) pairs per query row."""
     m = train_bool.shape[0]
     out = np.zeros((query_bool.shape[0], m), dtype=bool)
     for qi, q in enumerate(query_bool):
         dists = []
         for ti in range(m):
             t = train_bool[ti]
-            if distance == "hamming":
-                d = int(np.sum(q ^ t))
-            else:
-                union = int(np.sum(q | t))
-                inter = int(np.sum(q & t))
-                d = 0.0 if union == 0 else 1.0 - inter / union
+            union = int(np.sum(q | t))
+            inter = int(np.sum(q & t))
+            d = 0.0 if union == 0 else 1.0 - inter / union
             dists.append((d, ti))
         dists.sort()
         out[qi, [ti for _, ti in dists[:k]]] = True
@@ -55,8 +53,13 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             KnnConfig(k_neighbors=0)
-        with pytest.raises(ValueError):
-            KnnConfig(distance="cosine")
+
+    def test_distance_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            KnnConfig(distance="jaccard")
+        knn = {"k_neighbors": 10, "distance": "hamming"}
+        with pytest.raises(ConfigError, match="unknown config key knn.distance"):
+            parse_config({"seed": 7, "data": {"synthetic": {}}, "knn": knn})
 
 
 class TestNearestTrainPatients:
@@ -70,28 +73,27 @@ class TestNearestTrainPatients:
             query_bool = rng.random((t, n)) < density
             train_bool[0] = False
             query_bool[:1] = False
-            for distance in ("hamming", "jaccard"):
-                for k in (1, 3, 7, m):
-                    got = _nearest(train_bool, query_bool, k, distance)
-                    expect = _brute_force_knn(train_bool, query_bool, k, distance)
-                    assert np.array_equal(got, expect), (m, t, n, distance, k)
+            for k in (1, 3, 7, m):
+                got = _nearest(train_bool, query_bool, k)
+                expect = _brute_force_knn(train_bool, query_bool, k)
+                assert np.array_equal(got, expect), (m, t, n, k)
 
     def test_identical_patient_is_nearest(self):
         train_bool = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=bool)
-        got = _nearest(train_bool, train_bool[[1]], 1, "hamming")
+        got = _nearest(train_bool, train_bool[[1]], 1)
         assert got.tolist() == [[False, True, False]]
 
     def test_ties_resolve_to_lower_index(self):
         # all-zero query: row 2 at distance 0, then rows 0 and 1 tie at distance 1
         train_bool = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool)
         query_bool = np.zeros((1, 3), dtype=bool)
-        got = _nearest(train_bool, query_bool, 2, "hamming")
+        got = _nearest(train_bool, query_bool, 2)
         assert got.tolist() == [[True, False, True]]
 
     def test_jaccard_empty_vs_empty_is_zero_distance(self):
         train_bool = np.array([[1, 1, 1], [0, 0, 0]], dtype=bool)
         query_bool = np.zeros((1, 3), dtype=bool)
-        got = _nearest(train_bool, query_bool, 1, "jaccard")
+        got = _nearest(train_bool, query_bool, 1)
         assert got.tolist() == [[False, True]]
 
     def test_padding_bits_do_not_leak(self):
@@ -104,12 +106,11 @@ class TestNearestTrainPatients:
             padded = -(-n // 8) * 8
             train_padded = build(np.argwhere(train_bool), 12, padded).matrix()
             query_padded = build(np.argwhere(query_bool), 4, padded).matrix()
-            for distance in ("hamming", "jaccard"):
-                expect = _brute_force_knn(train_bool, query_bool, 3, distance)
-                got = _nearest(train_bool, query_bool, 3, distance)
-                assert np.array_equal(got, expect), (n, distance)
-                got = nearest_train_patients(train_padded, query_padded, 3, distance)
-                assert np.array_equal(got, expect), (n, distance)
+            expect = _brute_force_knn(train_bool, query_bool, 3)
+            got = _nearest(train_bool, query_bool, 3)
+            assert np.array_equal(got, expect), n
+            got = nearest_train_patients(train_padded, query_padded, 3)
+            assert np.array_equal(got, expect), n
 
 
 class TestKnnImpute:
@@ -127,13 +128,12 @@ class TestKnnImpute:
         grid = knn_impute(train, test_visible, 1, KnnConfig(k_neighbors=12))
         assert np.allclose(grid[0], train.event_frequencies())
 
-    @pytest.mark.parametrize("distance", ["hamming", "jaccard"])
-    def test_k_equal_m_gives_every_query_train_frequency(self, monkeypatch, distance):
+    def test_k_equal_m_gives_every_query_train_frequency(self, monkeypatch):
         rng = np.random.default_rng(8)
         mask = rng.random((40, 9)) < 0.3
         train = _dataset(np.column_stack(np.nonzero(mask)), 40, 9)
         visible = np.column_stack(np.nonzero(rng.random((11, 9)) < 0.3))
-        cfg = KnnConfig(k_neighbors=40, distance=distance)
+        cfg = KnnConfig(k_neighbors=40)
         expect = np.tile(train.event_frequencies(), (11, 1))
         # three query rows per block, with a partial last block
         for cells in (3 * 40, 10**6):
@@ -157,15 +157,14 @@ class TestKnnImpute:
         train = _dataset(np.column_stack(np.nonzero(mask)), 30, 10)
         vis_mask = rng.random((7, 10)) < 0.2
         visible = np.column_stack(np.nonzero(vis_mask))
-        for distance in ("hamming", "jaccard"):
-            cfg = KnnConfig(k_neighbors=4, distance=distance)
-            nearest = _brute_force_knn(mask, vis_mask, 4, distance)
-            expect = np.array([mask[row].mean(axis=0) for row in nearest])
-            # one row per block, blocks of 2 with a partial last block, one block
-            for cells in (1, 2 * 30, 10**6):
-                monkeypatch.setattr(baselines, "KNN_BLOCK_CELLS", cells)
-                grid = knn_impute(train, visible, 7, cfg)
-                assert np.array_equal(grid, expect), (distance, cells)
+        cfg = KnnConfig(k_neighbors=4)
+        nearest = _brute_force_knn(mask, vis_mask, 4)
+        expect = np.array([mask[row].mean(axis=0) for row in nearest])
+        # one row per block, blocks of 2 with a partial last block, one block
+        for cells in (1, 2 * 30, 10**6):
+            monkeypatch.setattr(baselines, "KNN_BLOCK_CELLS", cells)
+            grid = knn_impute(train, visible, 7, cfg)
+            assert np.array_equal(grid, expect), cells
 
     def test_empty_train_raises(self):
         train = _dataset(np.empty((0, 2), dtype=np.int64), 0, 3)

@@ -109,6 +109,7 @@ class TestArgumentHandling:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         # a stray top-level key, and keys that older versions accepted
         cases = [
+            ({"knn": {"k_neighbors": 10, "distance": "hamming"}}, "knn.distance"),
             ({"train": {"fixed_mask": False}}, "train.fixed_mask"),
             ({"optimizer": "sgd"}, "optimizer"),
             ({"train": {"grad_clip": 1.0}}, "train.grad_clip"),
@@ -304,7 +305,7 @@ SYNTHETIC_ECHO = {
     "model": {"embedding_dim": 8, "num_layers": 2, "scorer_hidden": 4},
     "train": {"learning_rate": 0.0066, "epochs": 4, "mask_probability": 0.2, "warmup_epochs": 0,
               "negative_sampler": "degree_preserving"},
-    "knn": {"k_neighbors": 5, "distance": "hamming"},
+    "knn": {"k_neighbors": 5},
     "output_dir": "runs",
 }
 
@@ -317,7 +318,7 @@ def _file_echo(triplets, demographics, output_dir):
         "model": {"embedding_dim": 95, "num_layers": 3, "scorer_hidden": 32},
         "train": {"learning_rate": 0.0066, "epochs": 200, "mask_probability": 0.2,
                   "warmup_epochs": 0, "negative_sampler": "degree_preserving"},
-        "knn": {"k_neighbors": 10, "distance": "hamming"},
+        "knn": {"k_neighbors": 10},
         "output_dir": output_dir,
     }
 

@@ -5,6 +5,8 @@ import json
 import re
 from pathlib import Path
 
+from graphimpute.baselines import KnnConfig
+from graphimpute.dataset import SplitSpec
 from graphimpute.experiment import parse_config
 from graphimpute.model import ModelConfig
 from graphimpute.training import TrainConfig
@@ -12,14 +14,18 @@ from graphimpute.training import TrainConfig
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
-def test_key_table_lists_model_and_train_fields_with_defaults():
-    rows = re.findall(r"^\| `((?:model|train)\.\w+)` \| `?([^`|]+?)`? \|", README, re.MULTILINE)
+def test_key_table_lists_section_fields_with_defaults():
+    rows = re.findall(
+        r"^\| `((?:split|model|train|knn)\.\w+)` \| `?([^`|]+?)`? \|", README, re.MULTILINE
+    )
     documented = {key: json.loads(default) for key, default in rows}
     assert len(documented) == len(rows)
-    # train.seed is derived from the top-level seed, so it is not a key
+    # split.seed and train.seed are derived from the top-level seed, so they are not keys
     fields = {
         f"{section}.{f.name}": f.default
-        for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+        for section, cls in (
+            ("split", SplitSpec), ("model", ModelConfig), ("train", TrainConfig), ("knn", KnnConfig)
+        )
         for f in dataclasses.fields(cls)
         if f.name != "seed"
     }
