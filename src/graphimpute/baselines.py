@@ -4,9 +4,9 @@ and the train-frequency predictor.
 Neighbor search is exact brute force. One product of the sparse 0/1 train
 matrix with a dense block of queries gives every query-train intersection
 count (small integers, exact in float64), and the Jaccard distance follows
-from those counts and the row sizes; no approximate index. A dense product suits
-counts that are dense anyway: at 50k x 2000 each query shares an event with
-half the train rows. Ties at the k-th distance go to the lower train patient
+from those counts and the row sizes; no approximate index. A dense product
+suits counts that are dense anyway: at 50k x 2000 each query shares an event
+with half the train rows. Ties at the k-th distance go to the lower train patient
 index, so results are reproducible.
 """
 
