@@ -4,7 +4,7 @@ export-embeddings.
 Exit codes: 0 success, 1 runtime failure, 2 config or usage error. A flag
 that overrides a config key has that key as its dotted ``dest`` (``--epochs``
 sets ``train.epochs``). The worker flags (``--workers``, or
-``--deterministic``, which forces a single thread; not both) set the thread
+``--deterministic``, which is ``--workers 1``; not both) set the thread
 environment variables, then set and read back the thread count of the
 OpenBLAS copies that numpy and scipy bundle, so they take effect in a process
 that has already loaded numpy too; a copy that cannot be set is a usage error
@@ -26,7 +26,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the top-level seed")
     threads = p.add_mutually_exclusive_group()
     threads.add_argument("--workers", type=int, default=None, help="cap numeric thread count (default: all cores)")
-    threads.add_argument("--deterministic", action="store_true", help="single-threaded, reproducible reductions")
+    threads.add_argument("--deterministic", dest="workers", action="store_const", const=1,
+                         help="single-threaded, reproducible reductions (--workers 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,9 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--checkpoint", default=None, help="checkpoint file (required for the graph imputer)")
     p.add_argument("--imputer", choices=("graph", "knn", "frequency"), default="graph")
-    p.add_argument("--policy", choices=("fixed", "train_frequency", "both"), default=None,
-                   help="cutoff policy (default: both, or fixed when --cutoff is given)")
-    p.add_argument("--cutoff", type=float, default=None, help="fixed cutoff value; implies --policy fixed")
+    p.add_argument("--cutoff", type=float, default=0.5, help="the fixed policy's cutoff (default: %(default)s)")
     p.add_argument("--knn-k", dest="knn.k_neighbors", type=int)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -79,11 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_threads(args) -> str | None:
     """Apply the worker flags; returns why a BLAS copy could not be set."""
-    workers = 1 if args.deterministic else args.workers
-    if workers is None:
+    if args.workers is None:
         return None
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(workers)
+        os.environ[var] = str(args.workers)
     import ctypes
     from pathlib import Path
 
@@ -104,9 +102,9 @@ def _configure_threads(args) -> str | None:
                 return f"cannot set the BLAS thread count of {path.name}"
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads(workers)
-            if get_threads() != workers:
-                return f"{path.name} runs {get_threads()} BLAS threads, not {workers}"
+            set_threads(args.workers)
+            if get_threads() != args.workers:
+                return f"{path.name} runs {get_threads()} BLAS threads, not {args.workers}"
     return None
 
 
@@ -152,10 +150,6 @@ def _cmd_train(args, exp, cfg, run_dir) -> int:
 
 
 def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
-    if args.cutoff is not None and args.policy not in (None, "fixed"):
-        raise exp.ConfigError(
-            f"--cutoff sets the fixed policy's cutoff and cannot be used with --policy {args.policy}"
-        )
     if args.checkpoint is not None and args.imputer != "graph":
         raise exp.ConfigError(
             f"--checkpoint is read only by the graph imputer and cannot be used with --imputer {args.imputer}"
@@ -164,21 +158,8 @@ def _cmd_evaluate(args, exp, cfg, run_dir) -> int:
         raise exp.ConfigError(
             f"--knn-k is read only by the knn imputer and cannot be used with --imputer {args.imputer}"
         )
-    if args.cutoff is not None or args.policy == "fixed":
-        policies = ("fixed",)
-    elif args.policy == "train_frequency":
-        policies = ("train_frequency",)
-    else:
-        policies = ("fixed", "train_frequency")
-    if args.imputer == "graph" and args.checkpoint is None:
-        raise exp.ConfigError("the graph imputer needs --checkpoint")
     reports = exp.run_evaluate(
-        cfg,
-        run_dir,
-        checkpoint_path=args.checkpoint,
-        policies=policies,
-        imputer=args.imputer,
-        fixed_cutoff=args.cutoff if args.cutoff is not None else 0.5,
+        cfg, run_dir, checkpoint_path=args.checkpoint, imputer=args.imputer, fixed_cutoff=args.cutoff
     )
     with open(os.path.join(run_dir, "telemetry.json")) as fh:
         runtime_s = json.load(fh)["evaluate"]["stages"]["score"]["seconds"]

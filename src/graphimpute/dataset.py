@@ -393,6 +393,8 @@ def generate_synthetic(
         raise ValueError(f"target_density must lie in (0, 0.5), got {target_density}")
     if rank < 1 or rank > min(num_patients, num_events):
         raise ValueError(f"rank must lie in [1, min(num_patients, num_events)], got {rank}")
+    if not 0.0 < observe_probability <= 1.0:
+        raise ValueError(f"observe_probability must lie in (0, 1], got {observe_probability}")
     rng = np.random.default_rng(seed)
     factors_p = rng.normal(size=(num_patients, rank))
     factors_e = rng.normal(size=(num_events, rank))

@@ -422,9 +422,10 @@ def run_evaluate(
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
     for a fixed config. The scoring time is the `score` stage of the
-    `evaluate` entry in the run's `telemetry.json`. An unknown policy, and a
-    fixed cutoff that is not a number in [0, 1], are refused before anything
-    is written: scores are probabilities, so under any other cutoff, or nan,
+    `evaluate` entry in the run's `telemetry.json`. An unknown policy, a
+    fixed cutoff that is not a number in [0, 1], and a graph imputer with
+    neither checkpoint nor parameters are refused before anything is read or
+    written: scores are probabilities, so under any other cutoff, or nan,
     every prediction is the same. A k-NN `k_neighbors` above the train
     patient count is refused before anything is scored.
     """
@@ -433,13 +434,13 @@ def run_evaluate(
     for policy in policies:
         if policy not in CUTOFF_POLICIES:
             raise ConfigError(f"unknown cutoff policy {policy!r}")
+    if imputer == "graph" and params is None and checkpoint_path is None:
+        raise ConfigError("the graph imputer needs --checkpoint (checkpoint_path) or params")
     run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
     with run.stage("data"):
         if sd is None:
             sd = prepare_split(cfg, prepare_dataset(cfg))
         if imputer == "graph" and params is None:
-            if checkpoint_path is None:
-                raise ValueError("need a checkpoint or explicit parameters")
             params = _checked_checkpoint(cfg, checkpoint_path, sd)
         if imputer == "knn" and cfg.knn.k_neighbors > sd.train.num_patients:
             raise ConfigError(

@@ -65,12 +65,12 @@ class BipartiteGraph:
         return (self._bits[codes >> 3] >> (codes & 7) & 1).astype(bool)
 
     def contains_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an (k, 2) array of pairs."""
+        """Vectorized membership test of (k, 2) pairs; off-grid pairs are not members."""
         if len(pairs) == 0:
             return np.empty(0, dtype=bool)
-        queries = encode_pairs(np.asarray(pairs, dtype=np.int64), self.num_events)
-        found = (queries >= 0) & (queries < self.num_patients * self.num_events)
-        found[found] = self.contains_codes(queries[found])
+        pairs = np.asarray(pairs, dtype=np.int64)
+        found = ((pairs >= 0) & (pairs < (self.num_patients, self.num_events))).all(axis=1)
+        found[found] = self.contains_codes(encode_pairs(pairs[found], self.num_events))
         return found
 
     @cached_property

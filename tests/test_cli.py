@@ -101,6 +101,15 @@ class TestArgumentHandling:
             main(["interpolate", "--config", "x.json"])
         assert exc.value.code == 2
 
+    def test_policy_flag_is_usage_error(self, config_path, tmp_path, capsys):
+        # every evaluate run writes both cutoff policies' reports
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", str(config_path), "--run-dir", str(tmp_path / "run"),
+                  "--imputer", "frequency", "--policy", "fixed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --policy fixed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.json")])
         assert code == 2
@@ -289,7 +298,7 @@ class TestArgumentHandling:
                "negative_sampler": "uniform"}
         assert main([
             "evaluate", "--config", str(config_path), "--run-dir", str(tmp_path / "eval"),
-            "--imputer", "knn", "--policy", "fixed", "--knn-k", "3",
+            "--imputer", "knn", "--knn-k", "3",
         ]) == 0
         manifest = json.loads((tmp_path / "eval" / "evaluate_manifest.json").read_text())
         assert manifest["config"]["knn"]["k_neighbors"] == 3
@@ -511,7 +520,8 @@ class TestPipeline:
         assert (export_dir / "event_embeddings.csv").exists()
         assert (export_dir / "event_neighbors.csv").exists()
 
-    def test_cutoff_flag_implies_fixed_policy_only(self, config_path, tmp_path):
+    def test_cutoff_flag_sets_fixed_cutoff_only(self, config_path, tmp_path):
+        # --cutoff used to drop the train_frequency reports too
         train_dir = tmp_path / "train"
         main(["train", "--config", str(config_path), "--run-dir", str(train_dir)])
         eval_dir = tmp_path / "eval"
@@ -519,8 +529,9 @@ class TestPipeline:
             "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
             "--checkpoint", str(train_dir / "checkpoint.npz"), "--cutoff", "0.3",
         ]) == 0
-        assert (eval_dir / "graph_fixed_per_event.csv").exists()
-        assert not (eval_dir / "graph_train_frequency_per_event.csv").exists()
+        for policy in ("fixed", "train_frequency"):
+            for suffix in ("per_event.csv", "summary.json"):
+                assert (eval_dir / f"graph_{policy}_{suffix}").exists(), (policy, suffix)
         summary = json.loads((eval_dir / "graph_fixed_summary.json").read_text())
         assert summary["fixed_cutoff"] == 0.3
 
@@ -534,34 +545,6 @@ class TestPipeline:
         assert code == 2
         assert "--cutoff" in capsys.readouterr().err
         assert not eval_dir.exists()
-
-    @pytest.mark.parametrize("policy", ["train_frequency", "both"])
-    def test_cutoff_with_other_policy_exits_2(self, config_path, tmp_path, capsys, policy):
-        # the requested policy used to be dropped without a word
-        eval_dir = tmp_path / "eval"
-        code = main([
-            "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
-            "--imputer", "frequency", "--policy", policy, "--cutoff", "0.3",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--cutoff" in err and f"--policy {policy}" in err
-        assert not eval_dir.exists()
-
-    def test_cutoff_with_fixed_policy_and_default_policies(self, config_path, tmp_path):
-        fixed_dir, both_dir = tmp_path / "fixed", tmp_path / "both"
-        assert main([
-            "evaluate", "--config", str(config_path), "--run-dir", str(fixed_dir),
-            "--imputer", "frequency", "--policy", "fixed", "--cutoff", "0.3",
-        ]) == 0
-        assert (fixed_dir / "frequency_fixed_per_event.csv").exists()
-        assert not (fixed_dir / "frequency_train_frequency_per_event.csv").exists()
-        assert main([
-            "evaluate", "--config", str(config_path), "--run-dir", str(both_dir),
-            "--imputer", "frequency",
-        ]) == 0
-        assert (both_dir / "frequency_fixed_per_event.csv").exists()
-        assert (both_dir / "frequency_train_frequency_per_event.csv").exists()
 
     def test_run_evaluate_refuses_non_finite_cutoff(self, config_path, tmp_path):
         from graphimpute import experiment
@@ -583,6 +566,17 @@ class TestPipeline:
             experiment.run_evaluate(
                 cfg, tmp_path / "eval", imputer="frequency", policies=("fixed", "bogus")
             )
+        assert not (tmp_path / "eval").exists()
+
+    def test_run_evaluate_refuses_graph_without_parameters_before_data(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        # the refusal used to come after the cohort was generated and split,
+        # as a plain ValueError
+        cfg = experiment.load_config(config_path)
+        monkeypatch.setattr(experiment, "prepare_dataset", lambda cfg: pytest.fail("data prepared"))
+        with pytest.raises(experiment.ConfigError, match="checkpoint"):
+            experiment.run_evaluate(cfg, tmp_path / "eval")
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["split", "train"])
@@ -634,7 +628,7 @@ class TestPipeline:
         eval_dir = tmp_path / "eval"
         assert main([
             "evaluate", "--config", str(config_path), "--run-dir", str(eval_dir),
-            "--imputer", "knn", "--policy", "fixed", "--knn-k", "3",
+            "--imputer", "knn", "--knn-k", "3",
         ]) == 0
         assert (eval_dir / "knn_fixed_per_event.csv").exists()
 
@@ -889,6 +883,9 @@ class TestRunWriter:
         root = tmp_path_factory.mktemp("refused")
         config = _write_config(root / "config.json")
         sparse = _write_config(root / "sparse.json", split={"min_event_frequency": 0.9})
+        unobserved = json.loads(config.read_text())
+        unobserved["data"]["synthetic"]["observe_probability"] = 1.5
+        (root / "unobserved.json").write_text(json.dumps(unobserved))
         # on file data the seed changes only the split (see
         # test_checkpoint_of_other_split_exits_2)
         assert main(["generate", "--config", str(config), "--run-dir", str(root / "gen")]) == 0
@@ -904,6 +901,10 @@ class TestRunWriter:
         garbage = root / "garbage.npz"
         garbage.write_bytes(b"not a checkpoint\n")
         return {
+            "generate-observe": (
+                ["generate", "--config", str(root / "unobserved.json")],
+                "config error: data.synthetic: observe_probability must lie in (0, 1], got 1.5",
+            ),
             "train-split": (["train", "--config", str(sparse)], "config error: split: "),
             "evaluate-knn-k": (
                 ["evaluate", "--config", str(config), "--imputer", "knn", "--knn-k", "5000"],
@@ -920,7 +921,8 @@ class TestRunWriter:
         }
 
     @pytest.mark.parametrize(
-        "case", ["train-split", "evaluate-knn-k", "evaluate-other-split", "export-bad-checkpoint"]
+        "case", ["generate-observe", "train-split", "evaluate-knn-k", "evaluate-other-split",
+                 "export-bad-checkpoint"]
     )
     def test_refused_command_leaves_no_run_directory(self, refusals, tmp_path, capsys, case):
         # the directory used to be made before the data stage's checks ran

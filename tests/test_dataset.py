@@ -404,6 +404,9 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 10, 3, 0.6, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 10, 0, 0.1, seed=0)
+        for observe in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="observe_probability"):
+                generate_synthetic(10, 10, 3, 0.1, seed=0, observe_probability=observe)
 
     def test_benchmark_cohort_digest(self):
         # the bytes of the seed-101 benchmark cohort as bisection calibrated it

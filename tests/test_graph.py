@@ -140,8 +140,12 @@ def test_cached_edge_arrays_are_read_only(pairs):
 
 
 def test_contains_pairs_outside_the_grid_is_false(tiny_graph):
-    queries = np.array([[-1, 4], [6, 0], [0, 0], [5, 4]])
-    assert tiny_graph.contains_pairs(queries).tolist() == [False, False, True, True]
+    # each column is checked on its own: the codes of [1, -3], [0, 6] and
+    # [2, -2] used to alias the edges (0, 2), (1, 1) and (1, 3)
+    queries = np.array([[-1, 4], [6, 0], [0, 0], [5, 4], [1, -3], [0, 6], [2, -2]])
+    assert tiny_graph.contains_pairs(queries).tolist() == [
+        False, False, True, True, False, False, False
+    ]
 
 
 @given(st.data())
