@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     import numpy as np
     import scipy
 
-    from graphimpute import baselines, dataset, experiment, training
+    from graphimpute import baselines, dataset, evaluation, experiment, training
     from perfbench.workloads import MODEL, SPLIT, TRAIN
 
     threads, blas_config = openblas()
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     with stage("score_grid_s"):
         grid = experiment.score_test_grid(state.params, sd.train, sd.test_visible)
     reports = {}
-    for policy in ("fixed", "train_frequency"):
+    for policy in evaluation.CUTOFF_POLICIES:
         with stage(f"evaluate_{policy}_s"):
             reports[policy] = experiment.evaluate_grid(grid, sd, policy)
     del grid

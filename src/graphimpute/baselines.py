@@ -67,8 +67,8 @@ def knn_impute(
     """Score unmeasured entries by the fraction of nearest train patients with
     the event.
 
-    Each test patient is represented by its visible positives only, and a
-    repeated visible pair is refused, as `graph.build` refuses it. Returns
+    Each test patient is represented by its visible positives only, which
+    must ascend with no repeats, as `graph.build` requires. Returns
     the full (test patients, events) score grid; scores lie on the grid
     {0, 1/k, ..., 1}.
     """

@@ -55,7 +55,9 @@ class Dataset:
 
     ``positives`` is an (k, 2) int64 array of (patient_index, event_index)
     rows, lexicographically sorted with no duplicates. ``demographics`` is an
-    (m, 2) float array of (age_years, sex) with sex encoded as {0, 1}.
+    (m, 2) float array of (age_years, sex) with sex encoded as {0, 1}. A label
+    list left out is filled in: patient ``i`` is ``p{i:06d}``, event ``j`` is
+    ``e{j:05d}`` and every event category is ``""``.
     """
 
     num_patients: int
@@ -84,12 +86,16 @@ class Dataset:
                 f"demographics shape {demo.shape} does not match "
                 f"({self.num_patients}, {DEMOGRAPHICS_DIM})"
             )
-        if self.event_labels is not None and len(self.event_labels) != self.num_events:
-            raise ValueError("event_labels length does not match num_events")
-        if self.event_categories is not None and len(self.event_categories) != self.num_events:
-            raise ValueError("event_categories length does not match num_events")
-        if self.patient_labels is not None and len(self.patient_labels) != self.num_patients:
-            raise ValueError("patient_labels length does not match num_patients")
+        for name, count, label in (
+            ("event_labels", "num_events", "e{:05d}"),
+            ("event_categories", "num_events", ""),
+            ("patient_labels", "num_patients", "p{:06d}"),
+        ):
+            size = getattr(self, count)
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, list(map(label.format, range(size))))
+            elif len(getattr(self, name)) != size:
+                raise ValueError(f"{name} length does not match {count}")
 
     def event_counts(self) -> np.ndarray:
         """Number of distinct patients with each event."""
@@ -246,16 +252,13 @@ def filter_rare_events(d: Dataset, min_event_frequency: float) -> tuple[Dataset,
     new_pos = pos[pos_keep].copy()
     new_pos[:, 1] = event_index_map[new_pos[:, 1]]
 
-    def _subset(values):
-        return [values[int(j)] for j in kept_indices] if values is not None else None
-
     filtered = Dataset(
         num_patients=d.num_patients,
         num_events=len(kept_indices),
         positives=new_pos,
         demographics=d.demographics,
-        event_labels=_subset(d.event_labels),
-        event_categories=_subset(d.event_categories),
+        event_labels=[d.event_labels[j] for j in kept_indices],
+        event_categories=[d.event_categories[j] for j in kept_indices],
         patient_labels=d.patient_labels,
     )
     return filtered, event_index_map
@@ -269,9 +272,6 @@ def _subset_patients(d: Dataset, patient_indices: np.ndarray) -> Dataset:
     mask = local[pos[:, 0]] >= 0
     sub = pos[mask].copy()
     sub[:, 0] = local[sub[:, 0]]
-    labels = (
-        [d.patient_labels[int(i)] for i in patient_indices] if d.patient_labels is not None else None
-    )
     return Dataset(
         num_patients=len(patient_indices),
         num_events=d.num_events,
@@ -279,7 +279,7 @@ def _subset_patients(d: Dataset, patient_indices: np.ndarray) -> Dataset:
         demographics=d.demographics[patient_indices],
         event_labels=d.event_labels,
         event_categories=d.event_categories,
-        patient_labels=labels,
+        patient_labels=[d.patient_labels[i] for i in patient_indices],
     )
 
 
@@ -288,8 +288,9 @@ def split(d: Dataset, spec: SplitSpec, event_index_map: np.ndarray | None = None
 
     Patients are assigned uniformly at random under ``SplitSpec.seed``. For each
     test patient, round(test_mask_fraction * degree) positives (half away from
-    zero) move to the held-out evaluation targets; a degree-1 patient therefore
-    keeps its single positive visible. Deterministic given the seed.
+    zero) move to the held-out evaluation targets; a degree-1 patient's single
+    positive therefore stays visible below a test_mask_fraction of 0.5 and is
+    held out from 0.5 up. Deterministic given the seed.
     """
     if d.num_patients < 2:
         raise ValueError("need at least 2 patients to split")
@@ -420,17 +421,12 @@ def generate_synthetic(
     demographics = np.column_stack([age, sex])
 
     dominant = np.argmax(np.abs(factors_e), axis=1)
-    event_labels = [f"e{j:05d}" for j in range(num_events)]
-    event_categories = [f"latent-{k}" for k in dominant]
-
     ds = Dataset(
         num_patients=num_patients,
         num_events=num_events,
         positives=positives,
         demographics=demographics,
-        event_labels=event_labels,
-        event_categories=event_categories,
-        patient_labels=[f"p{i:06d}" for i in range(num_patients)],
+        event_categories=[f"latent-{k}" for k in dominant],
     )
     return ds, ground_truth
 
@@ -652,10 +648,8 @@ def pair_columns(pairs: np.ndarray, patient_labels: list[str], event_labels: lis
 
 
 def write_dataset(d: Dataset, triplets_path, demographics_path) -> None:
-    """Write a labelled dataset in the two files load_triplets reads. A
+    """Write a dataset in the two files load_triplets reads. A
     label ``write_table`` refuses is refused before either file is opened."""
-    if d.patient_labels is None or d.event_labels is None:
-        raise ValueError("writing a dataset needs patient and event labels")
     age, sex = d.demographics.T
     tables = [
         (demographics_path, dict(zip(DEMOGRAPHICS_HEADER, (d.patient_labels, age, sex.astype(np.int64))))),

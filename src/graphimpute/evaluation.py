@@ -266,15 +266,13 @@ def export_event_embeddings(
     embeddings: np.ndarray,
     embeddings_path,
     neighbors_path,
-    event_labels=None,
-    event_categories=None,
+    event_labels: list[str],
+    event_categories: list[str],
 ) -> None:
     """Write latent event embeddings and their `EXPORT_NEIGHBORS` nearest
     cosine neighbors."""
     n, d = embeddings.shape
-    labels = event_labels if event_labels is not None else [str(j) for j in range(n)]
-    categories = event_categories if event_categories is not None else [""] * n
-    columns = {"event": labels, "category": categories}
+    columns = {"event": event_labels, "category": event_categories}
     columns.update((f"dim_{i}", embeddings[:, i]) for i in range(d))
     write_table(embeddings_path, columns)
     idx, sims = cosine_neighbors(embeddings, EXPORT_NEIGHBORS)
@@ -282,9 +280,9 @@ def export_event_embeddings(
     write_table(
         neighbors_path,
         {
-            "event": [label for label in labels for _ in range(k)],
+            "event": [label for label in event_labels for _ in range(k)],
             "rank": list(range(1, k + 1)) * n,
-            "neighbor": [labels[i] for i in idx.ravel().tolist()],
+            "neighbor": [event_labels[i] for i in idx.ravel().tolist()],
             "cosine_similarity": sims.ravel(),
         },
     )

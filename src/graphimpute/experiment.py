@@ -413,27 +413,24 @@ def run_evaluate(
     checkpoint_path=None,
     params: ModelParams | None = None,
     sd: SplitDataset | None = None,
-    policies=CUTOFF_POLICIES,
     imputer: str = "graph",
     fixed_cutoff: float = 0.5,
 ) -> dict[str, MetricsReport]:
-    """Evaluation command; returns reports keyed by cutoff policy.
+    """Evaluation command; returns one report per policy of
+    `CUTOFF_POLICIES`, keyed by policy.
 
     Parameters may come from a checkpoint file or be passed directly. The
     split is re-derived from the config unless given, which is deterministic
     for a fixed config. The scoring time is the `score` stage of the
-    `evaluate` entry in the run's `telemetry.json`. An unknown policy, a
-    fixed cutoff that is not a number in [0, 1], and a graph imputer with
-    neither checkpoint nor parameters are refused before anything is read or
-    written: scores are probabilities, so under any other cutoff, or nan,
-    every prediction is the same. A k-NN `k_neighbors` above the train
-    patient count is refused before anything is scored.
+    `evaluate` entry in the run's `telemetry.json`. A fixed cutoff that is
+    not a number in [0, 1] and a graph imputer with neither checkpoint nor
+    parameters are refused before anything is read or written: scores are
+    probabilities, so under any other cutoff, or nan, every prediction is
+    the same. A k-NN `k_neighbors` above the train patient count is refused
+    before anything is scored.
     """
     if not 0.0 <= fixed_cutoff <= 1.0:
         raise ConfigError(f"--cutoff (fixed_cutoff) must lie in [0, 1], got {fixed_cutoff}")
-    for policy in policies:
-        if policy not in CUTOFF_POLICIES:
-            raise ConfigError(f"unknown cutoff policy {policy!r}")
     if imputer == "graph" and params is None and checkpoint_path is None:
         raise ConfigError("the graph imputer needs --checkpoint (checkpoint_path) or params")
     run = RunWriter(run_dir, "evaluate", cfg, "evaluate_manifest.json")
@@ -450,10 +447,10 @@ def run_evaluate(
         grid = imputer_score_grid(imputer, cfg, sd, params)
     reports = {}
     with run.stage("evaluate"):
-        for policy in policies:
+        for policy in CUTOFF_POLICIES:
             reports[policy] = evaluate_grid(grid, sd, policy, fixed_cutoff)
             run.write_report(reports[policy], f"{imputer}_{policy}")
-    run.close({"imputer": imputer, "policies": list(policies)})
+    run.close({"imputer": imputer, "policies": list(CUTOFF_POLICIES)})
     return reports
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import decode_pairs, encode_pairs
+from .dataset import encode_pairs
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGraph:
-    """Build the patient-side CSR from distinct (patient, event) pairs in any
-    order. Pairs whose codes already ascend, as every pipeline caller's do,
-    are checked in one pass and not sorted."""
+    """Build the patient-side CSR from (patient, event) pairs in ascending
+    code order with no repeats, as a `Dataset`'s positives are; a repeated or
+    out-of-order pair is refused."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) > 0:
         if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= num_patients:
@@ -123,10 +123,7 @@ def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGra
             raise ValueError("event index out of range")
     codes = encode_pairs(pairs, num_events)
     if np.any(codes[1:] <= codes[:-1]):
-        codes = np.sort(codes, kind="stable")
-        if np.any(codes[1:] == codes[:-1]):
-            raise ValueError("duplicate edges in input")
-        pairs = decode_pairs(codes, num_events)
+        raise ValueError("edges must ascend with no repeats")
     patient_indptr = np.zeros(num_patients + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs[:, 0], minlength=num_patients), out=patient_indptr[1:])
     return BipartiteGraph(

@@ -178,7 +178,7 @@ class TestKnnImpute:
 
     def test_repeated_visible_pair_raises(self):
         train = _dataset([[0, 0], [1, 1]], 2, 2)
-        with pytest.raises(ValueError, match="^duplicate edges in input$"):
+        with pytest.raises(ValueError, match="^edges must ascend with no repeats$"):
             knn_impute(train, np.array([[0, 1], [0, 1]]), 1, KnnConfig(k_neighbors=1))
 
     @given(st.integers(0, 10_000))

@@ -555,18 +555,8 @@ class TestPipeline:
                 cfg, tmp_path / "eval", imputer="frequency", fixed_cutoff=float("inf")
             )
         assert experiment.run_evaluate(
-            cfg, tmp_path / "eval", imputer="frequency", policies=("fixed",), fixed_cutoff=1.0
+            cfg, tmp_path / "eval", imputer="frequency", fixed_cutoff=1.0
         )["fixed"].fixed_cutoff == 1.0
-
-    def test_run_evaluate_refuses_unknown_policy_before_writing(self, config_path, tmp_path):
-        # the fixed policy's files used to be written before the unknown one
-        # was refused, and no manifest listed them
-        cfg = experiment.load_config(config_path)
-        with pytest.raises(experiment.ConfigError, match="unknown cutoff policy 'bogus'"):
-            experiment.run_evaluate(
-                cfg, tmp_path / "eval", imputer="frequency", policies=("fixed", "bogus")
-            )
-        assert not (tmp_path / "eval").exists()
 
     def test_run_evaluate_refuses_graph_without_parameters_before_data(
         self, config_path, tmp_path, monkeypatch

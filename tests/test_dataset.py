@@ -40,6 +40,15 @@ def test_dataset_positives_empty():
     assert Dataset(2, 2, [], np.zeros((2, 2))).positives.shape == (0, 2)
 
 
+def test_dataset_fills_absent_labels():
+    d = Dataset(2, 3, [], np.zeros((2, 2)), event_labels=["a", "b", "c"])
+    assert d.event_labels == ["a", "b", "c"]
+    assert d.event_categories == ["", "", ""]
+    assert d.patient_labels == ["p000000", "p000001"]
+    with pytest.raises(ValueError, match="^patient_labels length does not match num_patients$"):
+        Dataset(2, 3, [], np.zeros((2, 2)), patient_labels=["p"])
+
+
 def test_dataset_validates_ranges():
     with pytest.raises(ValueError, match="event index"):
         Dataset(2, 2, np.array([[0, 5]]), np.zeros((2, 2)))
@@ -163,8 +172,10 @@ class TestLoadTriplets:
         assert np.array_equal(back.positives[:, 0], d.positives[:, 0])
         assert np.array_equal(np.array(kept)[back.positives[:, 1]], d.positives[:, 1])
         assert np.allclose(back.demographics, d.demographics, rtol=1e-9, atol=0)
-        with pytest.raises(ValueError, match="labels"):
-            write_dataset(Dataset(2, 2, [], np.zeros((2, 2))), tmp_path / "t.csv", tmp_path / "d.csv")
+        # a dataset built without labels is written with its default ones
+        write_dataset(Dataset(2, 2, [[1, 1]], np.zeros((2, 2))), tmp_path / "t.csv", tmp_path / "d.csv")
+        back = load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+        assert back.patient_labels == ["p000000", "p000001"] and back.event_labels == ["e00001"]
 
     def test_quoted_id_round_trips(self, tmp_path):
         # csv quoting wrote 'B "b"' as '"B ""b"""', which _read_rows does not
@@ -359,13 +370,17 @@ class TestSplit:
             "b07db56655a53542de9d9bff8d8dedbeaba7ff5b8ce27dd7b1111d6d83339123"
         )
 
-    def test_degree_one_patient_keeps_positive(self):
-        # round(0.3 * 1) = 0 held out
+    @pytest.mark.parametrize(
+        "fraction, kept", [(0.3, True), (0.5, False)], ids=["0.3-kept", "0.5-held-out"]
+    )
+    def test_degree_one_patient_keeps_positive(self, fraction, kept):
+        # round(0.3 * 1) = 0 held out, round(0.5 * 1) = 1 (half up)
         pos = np.array([[i, 0] for i in range(10)])
         d = Dataset(10, 1, pos, np.zeros((10, 2)))
-        sd = split(d, SplitSpec(train_fraction=0.5, test_mask_fraction=0.3, seed=2))
-        assert len(sd.test_heldout) == 0
-        assert len(sd.test_visible.positives) == sd.test_visible.num_patients
+        sd = split(d, SplitSpec(train_fraction=0.5, test_mask_fraction=fraction, seed=2))
+        visible = sd.test_visible.num_patients if kept else 0
+        assert len(sd.test_visible.positives) == visible
+        assert len(sd.test_heldout) == sd.test_visible.num_patients - visible
 
     def test_too_few_patients(self):
         d = Dataset(1, 1, np.array([[0, 0]]), np.zeros((1, 2)))

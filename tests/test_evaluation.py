@@ -429,7 +429,7 @@ class TestWriters:
         epath = tmp_path / "emb.csv"
         npath = tmp_path / "nbr.csv"
         monkeypatch.setattr(evaluation, "EXPORT_NEIGHBORS", 2)
-        export_event_embeddings(emb, epath, npath, event_labels=[f"ev{j}" for j in range(6)])
+        export_event_embeddings(emb, epath, npath, [f"ev{j}" for j in range(6)], [""] * 6)
         with open(epath) as fh:
             erows = list(csv.reader(fh))
         assert erows[0] == ["event", "category", "dim_0", "dim_1", "dim_2"]

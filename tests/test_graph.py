@@ -39,30 +39,15 @@ def test_build_rejects_out_of_range():
 
 
 def test_build_rejects_duplicates():
-    # adjacent or apart, in otherwise sorted or unsorted input
+    # repeated adjacent or apart, or out of order with no repeat
     for pairs in ([[0, 1], [0, 1]], [[0, 1], [0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]],
-                  [[1, 2], [0, 0], [1, 2], [0, 1]]):
-        with pytest.raises(ValueError, match="^duplicate edges in input$"):
+                  [[1, 2], [0, 0], [1, 2], [0, 1]], [[0, 2], [0, 1]], [[1, 0], [0, 2]]):
+        with pytest.raises(ValueError, match="^edges must ascend with no repeats$"):
             build(np.array(pairs), 2, 3)
 
 
-def test_shuffled_input_builds_the_sorted_graph():
-    rng = np.random.default_rng(3)
-    codes = np.sort(rng.choice(40 * 25, size=300, replace=False))
-    pairs = np.column_stack([codes // 25, codes % 25])
-    g = build(pairs, 40, 25)
-    shuffled = build(pairs[rng.permutation(len(pairs))], 40, 25)
-    for name in ("patient_indptr", "patient_indices"):
-        a, b = getattr(g, name), getattr(shuffled, name)
-        assert a.dtype == b.dtype == np.int64
-        assert np.array_equal(a, b)
-    assert np.array_equal(g.all_edges(), pairs)
-
-
-@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
-def test_trailing_patients_without_edges(order):
-    pairs = np.array([[0, 2], [1, 0], [1, 1]])[order]
-    g = build(pairs, 5, 3)
+def test_trailing_patients_without_edges():
+    g = build(np.array([[0, 2], [1, 0], [1, 1]]), 5, 3)
     assert g.patient_indptr.tolist() == [0, 1, 3, 3, 3, 3]
     assert g.patient_indices.tolist() == [2, 0, 1]
     assert g.patient_neighbors(4).tolist() == []
@@ -156,7 +141,7 @@ def test_transpose_property_random_graphs(data):
     cells = data.draw(
         st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=40)
     )
-    pairs = np.array(data.draw(st.permutations(sorted(cells))), dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
     g = build(pairs, m, n)
     assert g.edge_count == len(cells)
     # transpose both ways and compare against the edge set
