@@ -10,7 +10,6 @@ rather than counted as zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,23 +160,26 @@ def assign_frequency_bins(train_frequencies: np.ndarray, edges: np.ndarray) -> n
     return bins
 
 
-def recall_frequency_spearman(report: MetricsReport) -> float:
-    """Spearman correlation between train frequency and per-event recall.
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of `x`; tied values share the mean of their places."""
+    ordered = np.sort(x)
+    return (np.searchsorted(ordered, x, "left") + np.searchsorted(ordered, x, "right") + 1) / 2
 
-    Events with undefined recall are dropped; a constant input makes the
-    correlation undefined and NaN is returned.
+
+def recall_frequency_spearman(report: MetricsReport) -> float:
+    """Spearman correlation between train frequency and per-event recall:
+    the Pearson correlation of their midranks.
+
+    Events with undefined recall are dropped; with fewer than 2 events left,
+    or a constant input, the correlation is undefined and NaN is returned.
     """
     defined = ~np.isnan(report.sensitivity)
     freqs = report.train_frequencies[defined]
     recall = report.sensitivity[defined]
-    if len(freqs) < 2:
+    if len(freqs) < 2 or np.ptp(freqs) == 0 or np.ptp(recall) == 0:
         return float("nan")
-    import scipy.stats  # loaded on demand: only compare-samplers needs it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.stats.ConstantInputWarning)
-        rho = scipy.stats.spearmanr(freqs, recall).statistic
-    return float(rho)
+    # [1, 0] is the entry scipy's spearmanr reads, so the values keep its bits
+    return float(np.corrcoef(_midranks(freqs), _midranks(recall))[1, 0])
 
 
 @dataclass
@@ -240,10 +242,7 @@ def write_summary_json(report: MetricsReport, path) -> None:
 
 
 def write_bias_csv(profile: BiasProfile, path) -> None:
-    columns = {name: [row[name] for row in profile.rows] for name in _BIAS_COLUMNS}
-    columns["spearman_v1"] = [profile.spearman_v1] * len(profile.rows)
-    columns["spearman_v2"] = [profile.spearman_v2] * len(profile.rows)
-    write_table(path, columns)
+    write_table(path, {name: [row[name] for row in profile.rows] for name in _BIAS_COLUMNS})
 
 
 def cosine_neighbors(embeddings: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -190,9 +190,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if overrides:
+    # parse_config refuses a root that is not an object
+    if overrides and isinstance(raw, dict):
         raw = apply_overrides(raw, overrides)
     return parse_config(raw)
 

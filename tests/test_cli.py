@@ -114,6 +114,22 @@ class TestArgumentHandling:
         code = main(["train", "--config", str(tmp_path / "absent.json")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+        # a config that cannot be read, or whose root is not an object, is
+        # refused the same way whether or not a flag overrides one of its keys
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
+        cases = [
+            (tmp_path, [], f"cannot read config file {tmp_path}: Is a directory"),
+            (tmp_path / "latin1.json", [], "config file is not valid JSON"),
+            (tmp_path / "list.json", [], "config root must be an object"),
+            (tmp_path / "list.json", ["--epochs", "3"], "config root must be an object"),
+            (tmp_path / "list.json", ["--seed", "3"], "config root must be an object"),
+        ]
+        for path, flags, message in cases:
+            code = main(["train", "--config", str(path), "--run-dir", str(tmp_path / "run"), *flags])
+            assert code == 2, (path, flags)
+            assert f"config error: {message}" in capsys.readouterr().err, (path, flags)
+            assert not (tmp_path / "run").exists(), (path, flags)
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         # a stray top-level key, and keys that older versions accepted
@@ -173,15 +189,23 @@ class TestArgumentHandling:
         assert out.stdout.strip() == "[]"
 
     def test_importing_pipeline_loads_no_scipy_stats_or_special(self):
-        # scipy.stats (and the optimize and linalg modules it pulls in) is
-        # loaded on demand by recall_frequency_spearman alone; scipy.special
-        # is not loaded at all (the generator's logit is dataset._logit)
+        # scipy.sparse is the one scipy module any command loads: the bias
+        # profile's Spearman correlations rank in numpy (evaluation._midranks),
+        # and the generator's logit is dataset._logit, not scipy.special's
         src = str(Path(graphimpute.__file__).resolve().parent.parent)
         modules = ("experiment", "training", "model", "baselines", "dataset", "evaluation")
         code = (
             "import importlib, sys\n"
+            "import numpy as np\n"
             f"for name in {modules!r}:\n"
             "    importlib.import_module('graphimpute.' + name)\n"
+            "from graphimpute.evaluation import bias_profile, evaluate\n"
+            "freqs = np.geomspace(0.01, 0.5, 6)\n"
+            "heldout = np.column_stack([np.arange(6) % 2, np.arange(6)])\n"
+            "scores = np.array([[0.9, 0.2, 0.7, 0.6, 0.1, 0.8], [0.3, 0.9, 0.4, 0.8, 0.6, 0.2]])\n"
+            "v1, v2 = (evaluate(s, np.empty((0, 2)), heldout, freqs) for s in (scores, 1 - scores))\n"
+            "profile = bias_profile(v1, v2)\n"
+            "assert np.isfinite([profile.spearman_v1, profile.spearman_v2]).all()\n"
             "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.stats', 'scipy.special')))\n"
         )
         env = {**os.environ, "PYTHONPATH": src}
@@ -819,6 +843,17 @@ class TestPipeline:
             "sampler_v2_per_event.csv",
         ):
             assert (run_dir / name).exists(), name
+        # the correlations live in the summary, not repeated on every bin row
+        with open(run_dir / "bias_profile.csv") as fh:
+            assert next(csv.reader(fh)) == [
+                "bin", "freq_lo", "freq_hi", "num_events",
+                "recall_v1", "recall_v2", "specificity_v1", "specificity_v2",
+            ]
+        summary = json.loads((run_dir / "bias_summary.json").read_text())
+        assert sorted(summary) == ["spearman_recall_frequency_v1", "spearman_recall_frequency_v2"]
+        for rho in summary.values():
+            assert isinstance(rho, float)
+            assert f"{rho:.4f}" in out
 
 
 

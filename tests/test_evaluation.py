@@ -1,8 +1,10 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +306,52 @@ class TestSpearman:
             np.array([0.5, 0.5]),
         )
         assert np.isnan(recall_frequency_spearman(report))
+
+
+def _tied_inputs(count=300, seed=32):
+    """(train frequencies, recall) pairs with ties, some nan recall, and some
+    too short or constant to correlate."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 60))
+        freqs = rng.integers(1, int(rng.integers(2, 12)), n) / 100
+        recall = rng.integers(0, int(rng.integers(1, 8)), n) / 7
+        recall[rng.random(n) < 0.1] = np.nan
+        yield freqs, recall
+
+
+class TestMidranksOracle:
+    def test_midranks_equal_scipy_rankdata(self):
+        for freqs, recall in _tied_inputs():
+            defined = recall[~np.isnan(recall)]
+            for x in (freqs, defined):
+                assert np.array_equal(evaluation._midranks(x), scipy.stats.rankdata(x)), x
+
+    def test_spearman_matches_scipy_spearmanr(self):
+        undefined = 0
+        for freqs, recall in _tied_inputs():
+            n = len(freqs)
+            ones = np.ones(n, dtype=np.int64)
+            report = MetricsReport(
+                cutoff_policy="fixed", fixed_cutoff=0.5, train_frequencies=freqs,
+                tp=ones, fn=ones, tn=ones, fp=ones,
+                sensitivity=recall, specificity=np.ones(n), balanced_accuracy=np.ones(n),
+            )
+            defined = ~np.isnan(recall)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.stats.ConstantInputWarning)
+                expected = (
+                    scipy.stats.spearmanr(freqs[defined], recall[defined]).statistic
+                    if defined.sum() >= 2 else np.nan
+                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # nan is returned, not warned into being
+                got = recall_frequency_spearman(report)
+            assert np.isnan(got) == np.isnan(expected), (freqs, recall)
+            undefined += np.isnan(got)
+            if not np.isnan(got):
+                assert abs(got - expected) <= 1e-15, (freqs, recall)
+        assert 0 < undefined < 300
 
 
 class TestBiasProfile:
