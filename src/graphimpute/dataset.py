@@ -32,6 +32,18 @@ def encode_pairs(pairs: np.ndarray, num_events: int) -> np.ndarray:
     return pairs[:, 0] * np.int64(num_events) + pairs[:, 1]
 
 
+def check_pairs(pairs, num_patients: int, num_events: int) -> np.ndarray:
+    """(patient, event) pairs as a (k, 2) int64 array; a pair off the patients
+    x events grid is refused with a ValueError naming its side and index
+    (encoded it would alias another cell, and a negative row index wraps)."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    for side, column, size in zip(("patient", "event"), pairs.T, (num_patients, num_events)):
+        low, high = (column.min(), column.max()) if len(column) else (0, -1)
+        if low < 0 or high >= size:
+            raise ValueError(f"{side} index {low if low < 0 else high} out of range [0, {size})")
+    return pairs
+
+
 def unique_codes(codes: np.ndarray) -> np.ndarray:
     """Ascending distinct values of an integer code array. One stable sort,
     linear on codes already in order; numpy 2.4's ``np.unique`` hashes before
@@ -69,14 +81,7 @@ class Dataset:
     patient_labels: list[str] | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positives, dtype=np.int64).reshape(-1, 2)
-        # Check ranges before encoding: an out-of-range event index would
-        # otherwise alias to another patient's valid code.
-        if len(pos) > 0:
-            if pos[:, 0].min() < 0 or pos[:, 0].max() >= self.num_patients:
-                raise ValueError("patient index out of range")
-            if pos[:, 1].min() < 0 or pos[:, 1].max() >= self.num_events:
-                raise ValueError("event index out of range")
+        pos = check_pairs(self.positives, self.num_patients, self.num_events)
         pos = decode_pairs(unique_codes(encode_pairs(pos, self.num_events)), self.num_events)
         object.__setattr__(self, "positives", pos)
         demo = np.asarray(self.demographics, dtype=np.float64)
@@ -159,22 +164,27 @@ def _round_half_up(x: float) -> int:
 def _read_rows(path, header: tuple[str, ...]):
     """(line number, stripped fields) of each non-blank row of a CSV file.
 
-    A first line equal to ``header`` is skipped; a row with another field
-    count is an error that names the file and line.
+    A leading byte order mark is dropped and a first line equal to ``header``
+    is skipped; a row with another field count, or an empty ``*_id`` field,
+    is an error that names the file and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    ids = [i for i, name in enumerate(header) if name.endswith("_id")]
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if lineno == 1 and line.lower().replace(" ", "") == ",".join(header):
                 continue
-            fields = line.split(",")
+            fields = [f.strip() for f in line.split(",")]
             if len(fields) != len(header):
                 raise ValueError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
                 )
-            yield lineno, [f.strip() for f in fields]
+            for i in ids:
+                if not fields[i]:
+                    raise ValueError(f"{path}: line {lineno}: empty {header[i]}")
+            yield lineno, fields
 
 
 def load_triplets(path, demographics_path) -> Dataset:
@@ -642,7 +652,7 @@ def write_json(path, payload) -> None:
 def pair_columns(pairs: np.ndarray, patient_labels: list[str], event_labels: list[str]) -> dict:
     """(patient, event) index pairs as the labelled ``patient_id,event_id``
     columns of a ``write_table`` table."""
-    patients, events = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.tolist()
+    patients, events = check_pairs(pairs, len(patient_labels), len(event_labels)).T.tolist()
     columns = ([patient_labels[i] for i in patients], [event_labels[j] for j in events])
     return dict(zip(TRIPLET_HEADER, columns))
 

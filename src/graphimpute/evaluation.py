@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import encode_pairs, unique_codes, write_json, write_table
+from .dataset import check_pairs, encode_pairs, unique_codes, write_json, write_table
 from .graph import in_sorted
 
 CUTOFF_POLICIES = ("fixed", "train_frequency")
@@ -78,7 +78,7 @@ def evaluate(
     the train_frequency policy each event's cutoff is its train-set frequency;
     either way an entry is imputed positive iff its score is strictly greater.
     A nan or infinite score is refused, naming its cell, since a nan cell would
-    count as a negative prediction.
+    count as a negative prediction; an off-grid pair is refused naming its set.
     """
     if cutoff_policy not in CUTOFF_POLICIES:
         raise ValueError(f"unknown cutoff policy {cutoff_policy!r}")
@@ -93,13 +93,13 @@ def evaluate(
     train_frequencies = np.asarray(train_frequencies, dtype=np.float64)
     if len(train_frequencies) != n:
         raise ValueError("train_frequencies length does not match score columns")
-    visible = np.asarray(visible, dtype=np.int64).reshape(-1, 2)
-    heldout = np.asarray(heldout, dtype=np.int64).reshape(-1, 2)
-    for pairs, label in ((visible, "visible"), (heldout, "heldout")):
-        if len(pairs) and (
-            pairs.min() < 0 or pairs[:, 0].max() >= t or pairs[:, 1].max() >= n
-        ):
-            raise ValueError(f"{label} pairs out of range for the score grid")
+    checked = []
+    for label, pairs in (("visible", visible), ("heldout", heldout)):
+        try:
+            checked.append(check_pairs(pairs, t, n))
+        except ValueError as exc:
+            raise ValueError(f"{label} pairs off the score grid: {exc}") from None
+    visible, heldout = checked
 
     cutoff = fixed_cutoff if cutoff_policy == "fixed" else train_frequencies
     predicted = scores > cutoff

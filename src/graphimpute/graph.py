@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import encode_pairs
+from .dataset import check_pairs, encode_pairs
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ class BipartiteGraph:
 
     def contains_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorized membership test of (k, 2) pairs; off-grid pairs are not members."""
-        if len(pairs) == 0:
-            return np.empty(0, dtype=bool)
-        pairs = np.asarray(pairs, dtype=np.int64)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         found = ((pairs >= 0) & (pairs < (self.num_patients, self.num_events))).all(axis=1)
         found[found] = self.contains_codes(encode_pairs(pairs[found], self.num_events))
         return found
@@ -113,14 +111,9 @@ def in_sorted(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def build(pairs: np.ndarray, num_patients: int, num_events: int) -> BipartiteGraph:
     """Build the patient-side CSR from (patient, event) pairs in ascending
-    code order with no repeats, as a `Dataset`'s positives are; a repeated or
-    out-of-order pair is refused."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) > 0:
-        if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= num_patients:
-            raise ValueError("patient index out of range")
-        if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_events:
-            raise ValueError("event index out of range")
+    code order with no repeats, as a `Dataset`'s positives are; an off-grid,
+    repeated or out-of-order pair is refused."""
+    pairs = check_pairs(pairs, num_patients, num_events)
     codes = encode_pairs(pairs, num_events)
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError("edges must ascend with no repeats")

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid
+from .dataset import DEMOGRAPHICS_DIM, Dataset, _sigmoid, check_pairs
 from .graph import BipartiteGraph, build
 
 CHECKPOINT_FORMAT_VERSION = 4
@@ -333,14 +333,14 @@ def score_edges_raw(
     event_latents: np.ndarray,
     pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scorer forward on (patient, event) pairs: (probs, hidden units).
+    """Scorer forward on (patient, event) pairs, off-grid ones refused: (probs, hidden units).
 
     The hidden pre-activation gathers the two first-layer halves per pair,
     adding the event half in blocks of PAIR_BLOCK_ROWS pairs, and is rectified
     in place; the backward reads the rectifier's derivative off the returned
     units (positive exactly where the pre-activation was).
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = check_pairs(pairs, len(patient_latents), len(event_latents))
     left, right = _first_layer_halves(params, patient_latents, event_latents)
     h = left[pairs[:, 0]]
     for start in range(0, len(pairs), PAIR_BLOCK_ROWS):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import decode_pairs, encode_pairs
+from .dataset import check_pairs, decode_pairs, encode_pairs
 from .graph import BipartiteGraph
 
 # Cap on re-deal rounds; slots still in conflict after it take the fallback.
@@ -35,29 +35,26 @@ class EdgeBatch:
     event_marginal_l1_gap: int
 
     def validate(self, g_full: BipartiteGraph) -> None:
-        """Check every batch invariant against the full graph; raise on violation."""
-        n = g_full.num_events
-        vis = encode_pairs(self.visible, n)
-        inv = encode_pairs(self.invisible, n)
-        neg = encode_pairs(self.negative, n)
+        """Check every batch invariant against the full graph, off-grid pairs
+        first; raise on violation."""
+        m, n = g_full.num_patients, g_full.num_events
+        pairs = [check_pairs(p, m, n) for p in (self.visible, self.invisible, self.negative)]
+        vis, inv, neg = (encode_pairs(p, n) for p in pairs)
         if len(np.intersect1d(vis, inv)) != 0:
             raise ValueError("visible and invisible overlap")
         union = np.union1d(vis, inv)
         if len(union) != g_full.edge_count or not np.array_equal(union, g_full.edge_codes()):
             raise ValueError("visible and invisible do not partition the edge set")
-        if len(neg) != len(self.invisible):
+        if len(neg) != len(inv):
             raise ValueError("negative and invisible cardinalities differ")
         if len(np.unique(neg)) != len(neg):
             raise ValueError("duplicate negative edges")
-        if len(self.negative) and np.any(g_full.contains_pairs(self.negative)):
+        if np.any(g_full.contains_codes(neg)):
             raise ValueError("negative set intersects the positive edges")
-        m = g_full.num_patients
-        inv_p = np.bincount(self.invisible[:, 0], minlength=m) if len(self.invisible) else np.zeros(m, dtype=np.int64)
-        neg_p = np.bincount(self.negative[:, 0], minlength=m) if len(self.negative) else np.zeros(m, dtype=np.int64)
+        inv_p, neg_p = (np.bincount(p[:, 0], minlength=m) for p in pairs[1:])
         if not np.array_equal(inv_p, neg_p):
             raise ValueError("patient marginals not preserved")
-        inv_e = np.bincount(self.invisible[:, 1], minlength=n) if len(self.invisible) else np.zeros(n, dtype=np.int64)
-        neg_e = np.bincount(self.negative[:, 1], minlength=n) if len(self.negative) else np.zeros(n, dtype=np.int64)
+        inv_e, neg_e = (np.bincount(p[:, 1], minlength=n) for p in pairs[1:])
         gap = int(np.abs(inv_e - neg_e).sum())
         if gap != self.event_marginal_l1_gap:
             raise ValueError(f"recorded event gap {self.event_marginal_l1_gap} != actual {gap}")
@@ -94,7 +91,7 @@ def sample_negative_degree_preserving(
     the negatives never intersect the positive edges.
     """
     m, n = g_full.num_patients, g_full.num_events
-    invisible = np.asarray(invisible, dtype=np.int64).reshape(-1, 2)
+    invisible = check_pairs(invisible, m, n)
     if len(invisible) == 0:
         return np.empty((0, 2), dtype=np.int64), False, 0
     rng = np.random.default_rng(seed)

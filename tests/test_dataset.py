@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from graphimpute.dataset import (
     filter_rare_events,
     generate_synthetic,
     load_triplets,
+    pair_columns,
     split,
     standardize_demographics,
     write_dataset,
@@ -55,7 +57,7 @@ def test_dataset_validates_ranges():
     # event 2 of patient 0 would encode as event 0 of patient 1
     with pytest.raises(ValueError, match="event index"):
         Dataset(2, 2, [[0, 2]], np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="patient index"):
+    with pytest.raises(ValueError, match=re.escape("patient index -1 out of range [0, 2)")):
         Dataset(2, 2, np.array([[-1, 0]]), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="demographics shape"):
         Dataset(2, 2, np.array([[0, 0]]), np.zeros((3, 2)))
@@ -260,6 +262,15 @@ class TestLoadTriplets:
                 write_dataset(d, tmp_path / "t.csv", tmp_path / "d.csv")
             assert not path.exists() and not (tmp_path / "d.csv").exists()
 
+    def test_pair_columns_refuses_off_grid_pair(self):
+        columns = pair_columns([[1, 0]], ["p", "q"], ["a", "b"])
+        assert columns == {"patient_id": ["q"], "event_id": ["a"]}
+        # a negative index used to wrap to the last label
+        with pytest.raises(ValueError, match=f"^{re.escape('event index -1 out of range [0, 2)')}$"):
+            pair_columns([[1, 0], [0, -1]], ["p", "q"], ["a", "b"])
+        with pytest.raises(ValueError, match=f"^{re.escape('patient index 2 out of range [0, 2)')}$"):
+            pair_columns([[2, 0]], ["p", "q"], ["a", "b"])
+
     def test_write_json_sorted_with_final_newline(self, tmp_path):
         write_json(tmp_path / "a.json", {"b": 1, "a": [0.5]})
         assert (tmp_path / "a.json").read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
@@ -268,6 +279,29 @@ class TestLoadTriplets:
         _write(tmp_path / "t.csv", "")
         _write(tmp_path / "d.csv", "p1,50,X\n")
         with pytest.raises(ValueError, match="bad sex"):
+            load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as Excel saves CSV; the mark hid the header, so "age" was read as a
+        # bad age and "\ufeffpatient_id" as a patient missing from demographics
+        headed = ("patient_id,event_id\np1,eA\n", "patient_id,age,sex\np1,50,M\n")
+        for triplets, demographics in (headed, ("p1,eA\n", "p1,50,M\n")):
+            (tmp_path / "t.csv").write_bytes(b"\xef\xbb\xbf" + triplets.encode())
+            (tmp_path / "d.csv").write_bytes(b"\xef\xbb\xbf" + demographics.encode())
+            d = load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
+            assert (d.patient_labels, d.event_labels) == (["p1"], ["eA"])
+            assert d.positives.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("triplets, demographics, refusal", [
+        ("p1,eA\np1,\n", "p1,50,M\n", r"t\.csv: line 2: empty event_id"),
+        ("p1,eA\n , eB\n", "p1,50,M\n", r"t\.csv: line 2: empty patient_id"),
+        ("", "p1,50,M\n,50,M\n", r"d\.csv: line 2: empty patient_id"),
+    ], ids=["event", "patient-in-triplets", "patient-in-demographics"])
+    def test_empty_id_names_file_and_line(self, tmp_path, triplets, demographics, refusal):
+        # an empty id was read as a real patient or event ""
+        _write(tmp_path / "t.csv", triplets)
+        _write(tmp_path / "d.csv", demographics)
+        with pytest.raises(ValueError, match=refusal):
             load_triplets(tmp_path / "t.csv", tmp_path / "d.csv")
 
     @pytest.mark.parametrize("age", ["old", "nan", "NaN", "inf", "-Infinity"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -126,6 +127,9 @@ class TestEvaluate:
         scores, visible, heldout, freqs = _three_patient_instance()
         with pytest.raises(ValueError, match="heldout"):
             evaluate(scores, visible, np.array([[3, 0]]), freqs)
+        refusal = "visible pairs off the score grid: event index -1 out of range [0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            evaluate(scores, np.array([[0, -1]]), heldout, freqs)
 
     @pytest.mark.parametrize("bad, cell", [
         (np.nan, "test row 1, event column 0"),

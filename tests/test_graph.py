@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,12 @@ def test_build_empty():
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        build(np.array([[0, 3]]), 2, 3)
-    with pytest.raises(ValueError):
-        build(np.array([[2, 0]]), 2, 3)
+    for pairs, refusal in (([[0, 3]], "event index 3 out of range [0, 3)"),
+                           ([[2, 0]], "patient index 2 out of range [0, 2)"),
+                           ([[0, 1], [-1, 2]], "patient index -1 out of range [0, 2)"),
+                           ([[0, -1]], "event index -1 out of range [0, 3)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            build(np.array(pairs), 2, 3)
 
 
 def test_build_rejects_duplicates():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -316,6 +318,18 @@ class TestScorer:
         params.scorer_w1[...] = 0.0
         probs, _ = score_edges_raw(params, np.ones((2, 4)), np.ones((2, 4)), [[0, 0], [1, 1]])
         assert np.allclose(probs, 0.5, atol=1e-15)
+
+    @pytest.mark.parametrize("pair, refusal", [
+        ((-1, 0), "patient index -1 out of range [0, 2)"),
+        ((0, -1), "event index -1 out of range [0, 3)"),
+        ((2, 0), "patient index 2 out of range [0, 2)"),
+        ((0, 3), "event index 3 out of range [0, 3)"),
+    ], ids=["patient-negative", "event-negative", "patient-past-end", "event-past-end"])
+    def test_off_grid_pair_is_refused(self, pair, refusal):
+        # a negative index used to wrap to the last latent row
+        params = init_params(_small_config(), num_events=3, seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            score_edges_raw(params, np.ones((2, 4)), np.ones((3, 4)), [[0, 0], pair])
 
     def test_large_bias_saturates(self):
         params = init_params(_small_config(), num_events=2, seed=0)

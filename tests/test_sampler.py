@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ class TestDegreePreserving:
         with pytest.raises(ValueError, match="patient 0"):
             sample_negative_degree_preserving(g, invisible, seed=0)
 
+    @pytest.mark.parametrize("pair, refusal", [
+        ((-1, 0), "patient index -1 out of range [0, 6)"),
+        ((0, 5), "event index 5 out of range [0, 5)"),
+    ], ids=["patient-negative", "event-past-end"])
+    def test_off_grid_invisible_is_refused(self, tiny_graph, pair, refusal):
+        # these reached numpy, whose bincount or broadcast error named no pair
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            sample_negative_degree_preserving(tiny_graph, np.array([[0, 0], pair]), seed=0)
+
     def test_patient_marginals_always_exact_under_relaxation(self):
         # dense graph with few non-edges forces long re-deals and the fallback
         rng = np.random.default_rng(13)
@@ -307,6 +317,33 @@ class TestSamplerBiasContrast:
         un_err = np.abs(un_counts / runs - un_expected).mean()
         assert dp_err < 0.5
         assert un_err < np.abs(un_counts / runs - demand_e).mean()
+
+
+# A valid batch on the 3 x 3 graph with edges (0, 0), (1, 1), (2, 2), and one
+# field change per refusal of `EdgeBatch.validate`.
+_VALID_BATCH = {"visible": [[2, 2]], "invisible": [[0, 0], [1, 1]], "negative": [[0, 1], [1, 0]],
+                "relaxed": False, "event_marginal_l1_gap": 0}
+
+
+@pytest.mark.parametrize("change, refusal", [
+    ({"visible": [[0, 0], [2, 2]]}, "visible and invisible overlap"),
+    ({"visible": []}, "visible and invisible do not partition the edge set"),
+    ({"negative": [[0, 1]]}, "negative and invisible cardinalities differ"),
+    ({"negative": [[0, 1], [0, 1]]}, "duplicate negative edges"),
+    ({"negative": [[0, 1], [1, 1]]}, "negative set intersects the positive edges"),
+    ({"negative": [[0, 1], [2, 0]]}, "patient marginals not preserved"),
+    ({"event_marginal_l1_gap": 2}, "recorded event gap 2 != actual 0"),
+    ({"relaxed": True}, "relaxed flag inconsistent with event marginals"),
+    # code 1 * 3 + 5 = 8 is the edge (2, 2)'s, so this batch used to pass
+    ({"visible": [[1, 5]]}, "event index 5 out of range [0, 3)"),
+    ({"negative": [[0, 1], [-1, 2]]}, "patient index -1 out of range [0, 3)"),
+], ids=["overlap", "partition", "cardinality", "duplicate", "on-positive", "patient-marginals",
+        "gap", "relaxed", "off-grid-aliasing", "off-grid-negative"])
+def test_validate_refusals(change, refusal):
+    g = build(np.array([[0, 0], [1, 1], [2, 2]]), 3, 3)
+    EdgeBatch(**_VALID_BATCH).validate(g)
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        EdgeBatch(**{**_VALID_BATCH, **change}).validate(g)
 
 
 @given(st.integers(0, 10_000))

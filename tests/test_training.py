@@ -138,6 +138,39 @@ class TestBackward:
         assert np.array_equal(grads["event_embeddings"][4], np.zeros(4))
         assert np.any(grads["event_embeddings"][0] != 0.0)
 
+    def test_off_grid_pair_is_refused_before_the_scorer_backward(self):
+        # (-1, 3) became row -1 of the scorer's incidence CSC, which scipy
+        # wrote out of bounds until the process aborted; (5, -2) put an event
+        # gradient on patient row 4. A child process keeps an abort from
+        # taking pytest down.
+        code = (
+            "import numpy as np\n"
+            "from graphimpute.graph import build\n"
+            "from graphimpute.model import ModelConfig, init_params\n"
+            "from graphimpute.training import backward\n"
+            "g = build(np.array([[0, 0], [1, 1], [1, 3], [2, 4], [3, 0], [3, 1], [4, 2]]), 6, 5)\n"
+            "demo = np.random.default_rng(5).normal(size=(6, 2))\n"
+            "config = ModelConfig(embedding_dim=4, num_layers=3, scorer_hidden=3)\n"
+            "params = init_params(config, num_events=5, seed=6)\n"
+            "for bad in ([-1, 3], [5, -2]):\n"
+            "    try:\n"
+            "        for _ in range(200):\n"
+            "            loss, _ = backward(params, g, demo, [[0, 2], [2, 3], [5, 4]],\n"
+            "                               [[0, 4], [2, 0], bad])\n"
+            "        print(f'loss {loss}')\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stdout.splitlines()) == (0, [
+            "patient index -1 out of range [0, 6)",
+            "event index -2 out of range [0, 5)",
+        ]), out.stderr
+
 
 def _dense_scorer_reference(params, p_lat, e_lat, pairs, dlogit):
     """Scorer gradients and latent adjoints through the wide per-pair input
